@@ -8,7 +8,6 @@ with `python3 demos/pinching_tour.py`.
 import numpy as np
 
 from pinchgt import (
-    dephasing_family,
     loewner_leq,
     pinch,
     pinch_operator,
@@ -51,11 +50,9 @@ psd = random_pd(4, seed=23)
 dominated = loewner_leq(scale(1.0 / op.n, psd), pinch(op, psd))
 print(f"P[Y] >= Y/{op.n} in the Loewner order: {dominated}")
 
-# the mixture route: P[X] is the average of n dephasing conjugations
-fam = dephasing_family(op)
+# the mixture route: P[X] is the average of the n conjugations by the
+# dephasing unitaries U_y = sum_u exp(2 pi i y u / n) P_u, y = 1..n
 mix = pinch_via_mixture(op, x)
-print(f"\ndephasing family size: {fam.n}")
+print(f"\nnumber of dephasing unitaries: {op.n}")
 print(f"|| eigenbasis route - mixture route ||_F = "
       f"{np.linalg.norm(px.mat - mix.mat):.3e}")
-print("last dephasing unitary is the identity:",
-      bool(np.allclose(fam.unitaries[-1], np.eye(4))))

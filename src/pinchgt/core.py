@@ -14,11 +14,7 @@ __all__ = [
     "HermitianMatrix",
     "construct_hermitian",
     "identity",
-    "add",
     "scale",
-    "matmul",
-    "trace",
-    "frobenius_norm",
     "loewner_leq",
     "random_pd",
     "random_hermitian",
@@ -97,7 +93,12 @@ class HermitianMatrix:
 
     def __matmul__(self, other):
         # product of two Hermitian matrices is general; return a plain array
-        return self._mat @ as_array(other)
+        other = as_array(other)
+        if other.shape[0] != self.dim:
+            raise DimensionMismatch(
+                f"cannot multiply shapes {self._mat.shape} and {other.shape}"
+            )
+        return self._mat @ other
 
     def __rmatmul__(self, other):
         return as_array(other) @ self._mat
@@ -147,33 +148,10 @@ def identity(dim: int) -> HermitianMatrix:
     return HermitianMatrix(np.eye(dim, dtype=np.complex128))
 
 
-def add(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
-    return a + b
-
-
 def scale(c: float, a: HermitianMatrix) -> HermitianMatrix:
     """Real scalar multiple of a Hermitian matrix."""
     c = float(c)
     return HermitianMatrix(c * a.mat)
-
-
-def matmul(a, b) -> np.ndarray:
-    """General matrix product; Hermitian inputs may yield a non-Hermitian value."""
-    am, bm = as_array(a), as_array(b)
-    if am.shape[1] != bm.shape[0]:
-        raise DimensionMismatch(f"cannot multiply shapes {am.shape} and {bm.shape}")
-    return am @ bm
-
-
-def trace(a):
-    """Trace; a real float for HermitianMatrix input, complex otherwise."""
-    if isinstance(a, HermitianMatrix):
-        return a.trace()
-    return complex(np.trace(np.asarray(a)))
-
-
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(as_array(a)))
 
 
 def loewner_leq(

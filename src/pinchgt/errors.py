@@ -47,3 +47,7 @@ class SizeOverflow(PinchError):
 
 class MatrixFileError(PinchError):
     """A matrix document is unreadable or ill-formed; the message names the field."""
+
+
+class NonRealTrace(PinchError):
+    """A trace that must be real came out with an imaginary part beyond rounding."""

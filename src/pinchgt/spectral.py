@@ -21,7 +21,6 @@ __all__ = [
     "eigh",
     "eigvals",
     "decompose",
-    "distinct_count",
     "is_positive_definite",
 ]
 
@@ -69,9 +68,9 @@ class SpectralDecomposition:
     ``eigenvalues`` holds the strictly increasing cluster representatives
     (means of the clustered raw eigenvalues) and ``multiplicities`` the
     cluster sizes. ``vectors`` is the orthonormal eigenbasis with cluster i
-    occupying a contiguous block of columns. Projectors are realized on
-    demand from the basis, so a high-dimensional decomposition with many
-    clusters costs eigenvector storage, never n projector matrices.
+    occupying a contiguous block of columns; P_i is V_i V_i† for that block.
+    No projector is ever materialized, so a high-dimensional decomposition
+    with many clusters costs eigenvector storage, never n projector matrices.
     """
 
     source_dim: int
@@ -86,25 +85,6 @@ class SpectralDecomposition:
 
     def spectral_radius(self) -> float:
         return max(abs(float(self.eigenvalues[0])), abs(float(self.eigenvalues[-1])))
-
-    def _block(self, i: int) -> np.ndarray:
-        starts = np.concatenate(([0], np.cumsum(self.multiplicities)))
-        return self.vectors[:, starts[i] : starts[i + 1]]
-
-    def projector(self, i: int) -> HermitianMatrix:
-        """Orthogonal projector onto the eigenspace of the i-th distinct eigenvalue."""
-        block = self._block(i)
-        return HermitianMatrix(block @ block.conj().T)
-
-    def projectors(self) -> list[HermitianMatrix]:
-        return [self.projector(i) for i in range(self.n)]
-
-    def eigen_pairs(self) -> list[tuple[float, HermitianMatrix, int]]:
-        """(lambda_i, P_i, multiplicity_i) triples, materializing every projector."""
-        return [
-            (float(self.eigenvalues[i]), self.projector(i), int(self.multiplicities[i]))
-            for i in range(self.n)
-        ]
 
     def column_weights(self, values) -> np.ndarray:
         """Expand one value per distinct eigenvalue to one per basis column."""
@@ -147,11 +127,6 @@ def decompose(
         multiplicities=sizes,
         vectors=v,
     )
-
-
-def distinct_count(dec: SpectralDecomposition) -> int:
-    """Number of distinct eigenvalues in the decomposition."""
-    return dec.n
 
 
 def is_positive_definite(

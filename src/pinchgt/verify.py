@@ -23,11 +23,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HermitianMatrix, frobenius_norm
-from .errors import DimensionMismatch, SizeOverflow
+from .core import HermitianMatrix
+from .errors import DimensionMismatch, NonRealTrace, SizeOverflow
 from .functions import apply_to_decomposition, herm_exp, herm_log
 from .pinching import PinchOperator, pinch
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import (
+    BOUND_MONOTONE_TOL,
+    CHAIN_BOUND_TOL,
+    COLLAPSE_TOL,
+    COMMUTATION_TOL,
+    DEFAULT_POLICY,
+    GT_GAP_TOL,
+    TENSORIZATION_TOL,
+    TRACE_IMAG_TOL,
+    Check,
+    NumericPolicy,
+    bilinear_scale,
+)
 from .spectral import decompose, eigvals, require_positive_definite
 from .tensor import DIM_CAP, binomial_bound, count_distinct_spectrum, tensor_power
 
@@ -37,24 +49,10 @@ __all__ = [
     "gt_check",
     "chain_trace",
     "convergence_study",
-    "finite_power_sides",
-    "gt_from_chain",
-    "gt_certify_hermitian",
+    "finite_power_certificate",
     "chain_checks",
     "analytic_gap_bound",
-    "GT_GAP_TOL",
-    "COMMUTING_TOL",
-    "TENSORIZATION_TOL",
-    "COLLAPSE_TOL",
-    "CHAIN_BOUND_TOL",
 ]
-
-GT_GAP_TOL = 1e-9  # slack for accepting the inequality, times (|lhs| + |rhs|)
-COMMUTING_TOL = 1e-10  # commutator norm below this * bilinear scale => commuting
-TENSORIZATION_TOL = 1e-8  # |s0_tensorized - s0| relative bound
-COLLAPSE_TOL = 1e-7  # |t_pinched - target| relative bound
-CHAIN_BOUND_TOL = 1e-8  # slack for s0 <= bound
-TRACE_IMAG_TOL = 1e-12  # imaginary residue allowed in tr(AB)
 
 
 def _logsumexp(w: np.ndarray) -> float:
@@ -69,13 +67,22 @@ def _log_trace_exp(h: HermitianMatrix) -> float:
 
 @dataclass(frozen=True)
 class GTReport:
-    """Both sides of the trace inequality for one Hermitian pair."""
+    """Both sides of the trace inequality for one Hermitian pair.
+
+    ``checks`` holds the ``golden_thompson_gap`` check and, for a commuting
+    pair, the ``commuting_equality`` check that the two sides agree.
+    """
 
     lhs: float  # tr exp(A + B)
     rhs: float  # tr(exp A exp B)
     gap: float  # rhs - lhs; nonnegative up to tolerance iff the inequality holds
-    holds: bool
     commuting: bool
+    checks: tuple[Check, ...]
+
+    @property
+    def holds(self) -> bool:
+        """Whether the inequality holds: the golden_thompson_gap check passed."""
+        return self.checks[0].passed
 
 
 def gt_check(
@@ -95,11 +102,13 @@ def gt_check(
     eb = herm_exp(b, policy)
     rhs = float(np.trace(ea.mat @ eb.mat).real)
     gap = rhs - lhs
-    holds = gap >= -GT_GAP_TOL * (abs(lhs) + abs(rhs))
-    comm_scale = (1.0 + frobenius_norm(a)) * (1.0 + frobenius_norm(b))
+    gap_tol = GT_GAP_TOL * (abs(lhs) + abs(rhs))
+    checks = (Check("golden_thompson_gap", lhs - rhs, gap_tol),)
     commutator = float(np.linalg.norm(a.mat @ b.mat - b.mat @ a.mat))
-    commuting = commutator <= COMMUTING_TOL * comm_scale
-    return GTReport(lhs=lhs, rhs=rhs, gap=gap, holds=holds, commuting=commuting)
+    commuting = commutator <= COMMUTATION_TOL * bilinear_scale(a.mat, b.mat)
+    if commuting:
+        checks += (Check("commuting_equality", abs(gap), gap_tol),)
+    return GTReport(lhs=lhs, rhs=rhs, gap=gap, commuting=commuting, checks=checks)
 
 
 @dataclass(frozen=True)
@@ -137,9 +146,8 @@ def _pd_pair_decompositions(a, b, policy):
 def _log_trace_product(a: HermitianMatrix, b: HermitianMatrix) -> float:
     """log tr(AB) for PD operands; the trace is real and positive."""
     t = complex(np.trace(a.mat @ b.mat))
-    scale = (1.0 + frobenius_norm(a)) * (1.0 + frobenius_norm(b))
-    if abs(t.imag) > TRACE_IMAG_TOL * scale:
-        raise ArithmeticError(
+    if abs(t.imag) > TRACE_IMAG_TOL * bilinear_scale(a.mat, b.mat):
+        raise NonRealTrace(
             f"tr(AB) has imaginary residue {t.imag:.3e} beyond tolerance"
         )
     return math.log(t.real)
@@ -205,27 +213,29 @@ def chain_trace(
     )
 
 
-def chain_checks(ct: ChainTrace) -> list[tuple[str, bool, float, float]]:
-    """Invariant records (name, passed, residual, tolerance) for one chain row.
+def chain_checks(rows: list[ChainTrace]) -> list[tuple[int, Check]]:
+    """(m, check) pairs for a sequence of chain rows, in row order.
 
-    Covers the tensorization identity, the pinched collapse to the target,
-    and the spectrum-count upper bound on s0. Monotonicity of the bound is
-    a cross-row property and is checked by the callers that hold a row
-    sequence.
+    Every row checks the spectrum-count upper bound on s0; full-tier rows
+    also check the tensorization identity and the pinched collapse to the
+    target; every row after the first checks that the bound did not rise
+    from the row before it.
     """
-    checks = []
-    bound_tol = CHAIN_BOUND_TOL * (1.0 + abs(ct.s0) + abs(ct.bound))
-    checks.append(
-        ("chain_upper_bound", ct.s0 <= ct.bound + bound_tol, ct.s0 - ct.bound, bound_tol)
-    )
-    if ct.full_matrix_tier:
-        tens_tol = TENSORIZATION_TOL * (1.0 + abs(ct.s0))
-        tens_res = abs(ct.s0_tensorized - ct.s0)
-        checks.append(("tensorization_identity", tens_res <= tens_tol, tens_res, tens_tol))
-        col_tol = COLLAPSE_TOL * (1.0 + abs(ct.target))
-        col_res = abs(ct.t_pinched - ct.target)
-        checks.append(("pinched_collapse", col_res <= col_tol, col_res, col_tol))
-    return checks
+    out = []
+    for i, ct in enumerate(rows):
+        bound_tol = CHAIN_BOUND_TOL * (1.0 + abs(ct.s0) + abs(ct.bound))
+        checks = [Check("chain_upper_bound", ct.s0 - ct.bound, bound_tol)]
+        if ct.full_matrix_tier:
+            tens_tol = TENSORIZATION_TOL * (1.0 + abs(ct.s0))
+            checks.append(Check("tensorization_identity", abs(ct.s0_tensorized - ct.s0), tens_tol))
+            col_tol = COLLAPSE_TOL * (1.0 + abs(ct.target))
+            checks.append(Check("pinched_collapse", abs(ct.t_pinched - ct.target), col_tol))
+        if i > 0:
+            prev = rows[i - 1].bound
+            mono_tol = BOUND_MONOTONE_TOL * (1.0 + abs(prev))
+            checks.append(Check("bound_monotone", ct.bound - prev, mono_tol))
+        out.extend((ct.m, c) for c in checks)
+    return out
 
 
 def convergence_study(
@@ -244,16 +254,18 @@ def convergence_study(
     return [chain_trace(a, b, m, policy, cap=cap) for m in ms]
 
 
-def finite_power_sides(
+def finite_power_certificate(
     a: HermitianMatrix,
     b: HermitianMatrix,
     m: int,
     policy: NumericPolicy = DEFAULT_POLICY,
-) -> tuple[float, float]:
-    """Both sides of the finite-m certificate inequality.
+) -> Check:
+    """Finite-m certificate: tr exp(log A + log B) <= N_m^(1/m) tr(AB).
 
-    Returns (tr exp(log A + log B), N_m^(1/m) tr(AB)) where N_m is the
-    distinct-spectrum count of the m-th tensor power of A. Never
+    N_m is the distinct-spectrum count of the m-th tensor power of A; the
+    residual is lhs - rhs. The certificate's m -> infinity limit is the
+    trace inequality itself; fed exp A and exp B (always PD) for arbitrary
+    Hermitian A, B, that limit is tr exp(A+B) <= tr(exp A exp B). Never
     materializes tensor powers.
     """
     if m < 1:
@@ -265,35 +277,7 @@ def finite_power_sides(
     spectrum = count_distinct_spectrum(dec_a, m, policy)
     trace_ab = math.exp(_log_trace_product(a, b))
     rhs = spectrum.distinct_count ** (1.0 / m) * trace_ab
-    return lhs, rhs
-
-
-def gt_from_chain(
-    a: HermitianMatrix,
-    b: HermitianMatrix,
-    m: int,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> bool:
-    """Finite-m certificate: tr exp(log A + log B) <= N_m^(1/m) tr(AB).
-
-    The certificate's m -> infinity limit is the trace inequality itself.
-    """
-    lhs, rhs = finite_power_sides(a, b, m, policy)
-    return lhs <= rhs + GT_GAP_TOL * (abs(lhs) + abs(rhs))
-
-
-def gt_certify_hermitian(
-    a: HermitianMatrix,
-    b: HermitianMatrix,
-    m: int,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> bool:
-    """Certificate for arbitrary Hermitian A, B via the exp substitution.
-
-    Feeding exp A, exp B (always PD) through the chain certificate turns
-    its limit into tr exp(A+B) <= tr(exp A exp B) for the original pair.
-    """
-    return gt_from_chain(herm_exp(a, policy), herm_exp(b, policy), m, policy)
+    return Check("finite_power_certificate", lhs - rhs, GT_GAP_TOL * (abs(lhs) + abs(rhs)))
 
 
 def analytic_gap_bound(m: int, n_distinct: int) -> float:

@@ -18,21 +18,21 @@ from pinchgt import (
     analytic_gap_bound,
     binomial_bound,
     chain_trace,
+    commutation_residual,
     construct_hermitian,
     convergence_study,
     count_distinct_spectrum,
     decompose,
     gt_check,
     identity,
+    lower_bound_margin,
+    mixture_residual,
     pinch_operator,
     random_hermitian,
     random_pd,
     random_psd,
     random_unitary,
-    verify_commutation,
-    verify_lower_bound,
-    verify_mixture_agreement,
-    verify_trace_preservation,
+    trace_preservation_residual,
 )
 from pinchgt.cli import main
 
@@ -118,10 +118,10 @@ def test_pinching_property_suite():
         x = random_psd(dim, 9000 + k)
         op = pinch_operator(base)
         ok = (
-            verify_commutation(op, x)
-            and verify_trace_preservation(op, x)
-            and verify_lower_bound(op, x)
-            and verify_mixture_agreement(op, x)
+            commutation_residual(op, x).passed
+            and trace_preservation_residual(op, x).passed
+            and lower_bound_margin(op, x).passed
+            and mixture_residual(op, x).passed
         )
         failures += 0 if ok else 1
         total += 1

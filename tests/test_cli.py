@@ -1,9 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from pinchgt import (
+    DIM_CAP,
+    Check,
+    GTReport,
     chain_trace,
     construct_hermitian,
     load_matrix,
@@ -189,12 +193,138 @@ def test_gt_violation_plumbing(pair, capsys, monkeypatch):
     """Exit code 1 is wired to failing checks (forced via a stubbed report)."""
     import pinchgt.cli as cli
 
-    class FakeReport:
-        lhs, rhs, gap, holds, commuting = 2.0, 1.0, -1.0, False, False
-
-    monkeypatch.setattr(cli, "gt_check", lambda a, b, policy: FakeReport())
+    fake = GTReport(
+        lhs=2.0, rhs=1.0, gap=-1.0, commuting=False,
+        checks=(Check("golden_thompson_gap", 1.0, 3e-9),),
+    )
+    monkeypatch.setattr(cli, "gt_check", lambda a, b, policy: fake)
     pa, pb, _, _ = pair
     assert main(["check", pa, pb]) == 1
     cert = json.loads(capsys.readouterr().out)
     assert cert["verdict"] == "violation"
     assert not cert["checks"][0]["passed"]
+
+
+def test_non_real_trace_exits_2(pair, capsys, monkeypatch):
+    """The guard on tr(AB) is an input error (exit 2), not a violation."""
+    real_trace = np.trace
+    monkeypatch.setattr(np, "trace", lambda m: real_trace(m) + 1j)
+    pa, pb, _, _ = pair
+    assert main(["chain", pa, pb, "--m", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: tr(AB) has imaginary residue")
+
+
+def test_chain_cap_above_dim_cap_exits_2(pair, capsys):
+    pa, pb, _, _ = pair
+    assert main(["chain", pa, pb, "--m", "8", "--cap", str(DIM_CAP + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --cap 4097 exceeds the dimension cap 4096")
+
+
+FROZEN_CHAIN = """\
+m,s0,s0_tensorized,t_pinched,target,bound,gap_bound
+1,1.78660254481,1.78660254481,1.79175946923,1.79175946923,2.48490664979,0.69314718056
+2,1.78660254481,1.78660254481,1.79175946923,1.79175946923,2.34106561356,0.549306144334
+3,1.78660254481,1.78660254481,1.79175946923,1.79175946923,2.2538575896,0.462098120373
+"""
+
+FROZEN_SUITE = """\
+dim 2: 4 trials, 0 violations
+dim 3: 4 trials, 0 violations
+dim 4: 4 trials, 0 violations
+total: 12 trials, 0 violations
+"""
+
+# the pinch_equals_dephasing_mixture residual is rounding noise of the
+# mixture route, so it is masked here and bounded separately
+FROZEN_CERTIFICATE = """\
+{
+  "inputs": {
+    "matrix_a": {
+      "path": "A",
+      "dim": 2,
+      "sha256": "1a2987f07be0eae711b7a5e9738bb603314479f48e173b8f335a7a3e8dbd23da"
+    },
+    "matrix_b": {
+      "path": "B",
+      "dim": 2,
+      "sha256": "bdea9cad70a08af13ea98a97464a3525a5d74f3c183e98059c33004881f3a47f"
+    },
+    "power": 2,
+    "policy": {
+      "herm_tol": 1e-10,
+      "cluster_tol": 1e-08,
+      "psd_tol": 1e-09,
+      "residual_tol": 1e-09
+    }
+  },
+  "golden_thompson": {
+    "lhs": 112.12085605922512,
+    "rhs": 115.24295107891956,
+    "gap": 3.1220950196944415,
+    "commuting": false
+  },
+  "checks": [
+    {
+      "name": "golden_thompson_gap",
+      "passed": true,
+      "residual": -3.1220950196944415,
+      "tolerance": 2.273638071381447e-07
+    },
+    {
+      "name": "pinch_commutes_with_base",
+      "passed": true,
+      "residual": 0.0,
+      "tolerance": 1.8872081703195617e-08
+    },
+    {
+      "name": "pinch_preserves_weighted_trace",
+      "passed": true,
+      "residual": 4.263256414560601e-14,
+      "tolerance": 1.8872081703195617e-08
+    },
+    {
+      "name": "pinch_dominates_scaled_operand",
+      "passed": true,
+      "residual": -1.3591409142295205,
+      "tolerance": 3.6945280494653235e-09
+    },
+    {
+      "name": "pinch_equals_dephasing_mixture",
+      "passed": true,
+      "residual": MASKED,
+      "tolerance": 1.7746390841342012e-10
+    },
+    {
+      "name": "finite_power_certificate",
+      "passed": true,
+      "residual": -87.48579042363815,
+      "tolerance": 3.117275025420882e-07
+    }
+  ],
+  "verdict": "pass"
+}
+"""
+
+
+def test_frozen_outputs(pair, capsys):
+    """Byte-exact chain CSV, random-suite text and check certificate."""
+    pa, pb, _, _ = pair
+    assert main(["chain", pa, pb, "--m", "1,2,3"]) == 0
+    assert capsys.readouterr().out == FROZEN_CHAIN
+    assert main(["random-suite", "--dims", "2..4", "--trials", "4"]) == 0
+    assert capsys.readouterr().out == FROZEN_SUITE
+
+    assert main(["check", pa, pb]) == 0
+    out = capsys.readouterr().out
+    mixture = json.loads(out)["checks"][4]
+    assert mixture["name"] == "pinch_equals_dephasing_mixture"
+    assert 0.0 <= mixture["residual"] <= mixture["tolerance"]
+    out = out.replace(json.dumps(pa), '"A"').replace(json.dumps(pb), '"B"')
+    out = re.sub(
+        r'("name": "pinch_equals_dephasing_mixture",\n\s+"passed": true,\n\s+"residual": )[^,]+',
+        r"\1MASKED",
+        out,
+    )
+    assert out == FROZEN_CERTIFICATE

@@ -9,18 +9,14 @@ from pinchgt import (
     NotHermitian,
     NotSquare,
     NumericPolicy,
-    add,
     construct_hermitian,
-    frobenius_norm,
     identity,
     loewner_leq,
-    matmul,
     random_hermitian,
     random_pd,
     random_psd,
     random_unitary,
     scale,
-    trace,
 )
 
 
@@ -76,28 +72,28 @@ def test_arithmetic_matches_numpy():
     for seed in range(10):
         a = random_hermitian(4, seed)
         b = random_hermitian(4, seed + 100)
-        npt.assert_allclose(add(a, b).mat, a.mat + b.mat)
+        npt.assert_allclose((a + b).mat, a.mat + b.mat)
         npt.assert_allclose((a - b).mat, a.mat - b.mat)
         npt.assert_allclose(scale(2.5, a).mat, 2.5 * a.mat)
         npt.assert_allclose((0.5 * a).mat, a.mat / 2)
-        npt.assert_allclose(matmul(a, b), a.mat @ b.mat)
-        assert isinstance(add(a, b), HermitianMatrix)
-        assert trace(a) == pytest.approx(np.trace(a.mat).real)
-        assert frobenius_norm(a) == pytest.approx(np.linalg.norm(a.mat))
+        npt.assert_allclose(a @ b, a.mat @ b.mat)
+        assert isinstance(a + b, HermitianMatrix)
+        assert a.trace() == pytest.approx(np.trace(a.mat).real)
+        assert a.frobenius() == pytest.approx(np.linalg.norm(a.mat))
 
 
 def test_trace_of_hermitian_is_real_float():
     a = random_hermitian(5, 3)
-    assert isinstance(trace(a), float)
+    assert isinstance(a.trace(), float)
 
 
 def test_dimension_mismatch_raises():
     a = identity(2)
     b = identity(3)
     with pytest.raises(DimensionMismatch):
-        add(a, b)
+        a + b
     with pytest.raises(DimensionMismatch):
-        matmul(a, b)
+        a @ b
 
 
 def test_identity():

@@ -6,11 +6,11 @@ from pinchgt import (
     BadPartition,
     DimensionMismatch,
     NotPSD,
-    add,
     block_diagonal_part,
+    commutation_residual,
     construct_hermitian,
-    dephasing_family,
-    matmul,
+    lower_bound_margin,
+    mixture_residual,
     pinch,
     pinch_operator,
     pinch_via_mixture,
@@ -19,10 +19,7 @@ from pinchgt import (
     random_psd,
     random_unitary,
     scale,
-    verify_commutation,
-    verify_lower_bound,
-    verify_mixture_agreement,
-    verify_trace_preservation,
+    trace_preservation_residual,
 )
 
 
@@ -82,7 +79,7 @@ def test_pinch_is_linear():
     op = pinch_operator(random_pd(4, 1))
     x = random_hermitian(4, 2)
     y = random_hermitian(4, 3)
-    lhs = pinch(op, add(scale(2.0, x), scale(-3.0, y)))
+    lhs = pinch(op, scale(2.0, x) + scale(-3.0, y))
     rhs = 2.0 * np.asarray(pinch(op, x).mat) - 3.0 * np.asarray(pinch(op, y).mat)
     npt.assert_allclose(lhs.mat, rhs, atol=1e-11)
 
@@ -90,7 +87,7 @@ def test_pinch_is_linear():
 def test_pinch_fixes_functions_of_base():
     # anything commuting with the base is left alone; base^2 is the easy case
     base = random_pd(4, 5)
-    sq = construct_hermitian(matmul(base, base))
+    sq = construct_hermitian(base @ base)
     op = pinch_operator(base)
     npt.assert_allclose(pinch(op, sq).mat, sq.mat, atol=1e-10)
 
@@ -133,39 +130,27 @@ def test_property_commutation():
     for seed in range(10):
         dim = 2 + seed % 6
         op = pinch_operator(random_pd(dim, seed))
-        assert verify_commutation(op, random_hermitian(dim, seed + 900))
+        assert commutation_residual(op, random_hermitian(dim, seed + 900)).passed
 
 
 def test_property_trace_preservation():
     for seed in range(10):
         dim = 2 + seed % 6
         op = pinch_operator(random_pd(dim, seed))
-        assert verify_trace_preservation(op, random_hermitian(dim, seed + 900))
+        assert trace_preservation_residual(op, random_hermitian(dim, seed + 900)).passed
 
 
 def test_property_lower_bound():
     for seed in range(10):
         dim = 2 + seed % 6
         op = pinch_operator(random_pd(dim, seed))
-        assert verify_lower_bound(op, random_psd(dim, seed + 900))
+        assert lower_bound_margin(op, random_psd(dim, seed + 900)).passed
 
 
 def test_lower_bound_rejects_indefinite_operand():
     op = pinch_operator(random_pd(2, 4))
     with pytest.raises(NotPSD):
-        verify_lower_bound(op, construct_hermitian(np.diag([1.0, -1.0])))
-
-
-def test_dephasing_unitaries():
-    """Each family member is unitary and the last one is the identity."""
-    for seed in range(5):
-        dim = 3 + seed
-        op = pinch_operator(random_pd(dim, seed))
-        fam = dephasing_family(op)
-        assert fam.n == op.n
-        for u in fam.unitaries:
-            npt.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-12)
-        npt.assert_allclose(fam.unitaries[-1], np.eye(dim), atol=1e-12)
+        lower_bound_margin(op, construct_hermitian(np.diag([1.0, -1.0])))
 
 
 def test_mixture_route_agrees():
@@ -176,7 +161,7 @@ def test_mixture_route_agrees():
         npt.assert_allclose(
             pinch_via_mixture(op, x).mat, pinch(op, x).mat, atol=1e-11
         )
-        assert verify_mixture_agreement(op, x)
+        assert mixture_residual(op, x).passed
 
 
 def test_mixture_with_degeneracy():

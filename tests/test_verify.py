@@ -13,10 +13,11 @@ from pinchgt import (
     chain_trace,
     construct_hermitian,
     convergence_study,
-    finite_power_sides,
-    gt_certify_hermitian,
+    count_distinct_spectrum,
+    decompose,
+    finite_power_certificate,
     gt_check,
-    gt_from_chain,
+    herm_exp,
     identity,
     random_hermitian,
     random_pd,
@@ -137,8 +138,8 @@ def test_chain_invariants_on_random_pairs():
         a = random_pd(dim, seed + 300)
         b = random_pd(dim, seed + 400)
         for m in (1, 2):
-            for name, passed, residual, tol in chain_checks(chain_trace(a, b, m)):
-                assert passed, f"{name} failed at m={m}: {residual} > {tol}"
+            for _, c in chain_checks([chain_trace(a, b, m)]):
+                assert c.passed, f"{c.name} failed at m={m}: {c.residual} > {c.tolerance}"
 
 
 def test_chain_cap_controls_full_tier():
@@ -214,14 +215,23 @@ def test_analytic_gap_bound_scalars():
     assert analytic_gap_bound(8, 2) == pytest.approx(math.log(9.0) / 8.0, abs=1e-15)
 
 
+def o_certificate_sides(a, b, m):
+    """(tr exp(log A + log B), N_m^(1/m) tr(AB)) with N_m from the library's count."""
+    lhs = np.trace(o_expm(o_logm(a.mat) + o_logm(b.mat))).real
+    n_m = count_distinct_spectrum(decompose(a), m).distinct_count
+    return lhs, n_m ** (1.0 / m) * np.trace(a.mat @ b.mat).real
+
+
 def test_finite_power_certificate():
     for seed in range(10):
         dim = 2 + seed % 4
         a = random_pd(dim, seed + 900)
         b = random_pd(dim, seed + 901)
-        lhs, rhs = finite_power_sides(a, b, 3)
+        c = finite_power_certificate(a, b, 3)
+        lhs, rhs = o_certificate_sides(a, b, 3)
         assert lhs <= rhs * (1.0 + 1e-9)
-        assert gt_from_chain(a, b, 3)
+        assert c.residual == pytest.approx(lhs - rhs, rel=1e-9)
+        assert c.passed
 
 
 def test_certificate_tightens_with_power():
@@ -229,8 +239,8 @@ def test_certificate_tightens_with_power():
     b = random_pd(3, 78)
     gaps = []
     for m in (1, 2, 4, 8):
-        lhs, rhs = finite_power_sides(a, b, m)
-        gaps.append(rhs - lhs)
+        lhs, rhs = o_certificate_sides(a, b, m)
+        gaps.append(-finite_power_certificate(a, b, m).residual)
         assert lhs <= rhs * (1.0 + 1e-9)
     assert gaps[-1] < gaps[0]
 
@@ -240,10 +250,10 @@ def test_certify_arbitrary_hermitian():
         dim = 2 + seed % 4
         a = random_hermitian(dim, seed)
         b = random_hermitian(dim, seed + 5000)
-        assert gt_certify_hermitian(a, b, 2)
+        assert finite_power_certificate(herm_exp(a), herm_exp(b), 2).passed
 
 
 def test_certificate_scale_invariance():
     a = random_pd(3, 21)
     b = random_pd(3, 22)
-    assert gt_from_chain(scale(100.0, a), scale(0.01, b), 2)
+    assert finite_power_certificate(scale(100.0, a), scale(0.01, b), 2).passed
