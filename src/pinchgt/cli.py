@@ -20,16 +20,10 @@ import sys
 
 from .core import random_hermitian, random_pd, random_psd
 from .errors import PinchError
-from .functions import herm_exp
 from .matrixio import load_matrix, matrix_digest
-from .pinching import (
-    commutation_residual,
-    lower_bound_margin,
-    mixture_residual,
-    pinch_operator,
-    trace_preservation_residual,
-)
+from .pinching import pinch_operator, pinching_checks
 from .policy import NumericPolicy
+from .spectral import decompose
 from .tensor import DIM_CAP
 from .verify import chain_checks, convergence_study, finite_power_certificate, gt_check
 
@@ -108,16 +102,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     report = gt_check(a, b, policy)
     # the pinching properties need a positive definite reference, so they
     # are exercised on exp(B) with operand exp(A); both always qualify
-    ea = herm_exp(a, policy)
-    eb = herm_exp(b, policy)
-    op = pinch_operator(eb, policy)
+    ea = report.exp_a
+    op = pinch_operator(report.exp_b, policy)
     checks = [
         *report.checks,
-        commutation_residual(op, ea),
-        trace_preservation_residual(op, ea),
-        lower_bound_margin(op, ea, policy),
-        mixture_residual(op, ea),
-        finite_power_certificate(ea, eb, args.m, policy),
+        *pinching_checks(op, ea, policy),
+        finite_power_certificate(decompose(ea, policy), op.base, args.m, policy),
     ]
 
     all_passed = all(c.passed for c in checks)
@@ -207,10 +197,7 @@ def cmd_random_suite(args: argparse.Namespace) -> int:
             base = random_pd(dim, 4 * trial_seed + 2)
             x = random_psd(dim, 4 * trial_seed + 3)
             op = pinch_operator(base, policy)
-            ok = ok and commutation_residual(op, x).passed
-            ok = ok and trace_preservation_residual(op, x).passed
-            ok = ok and lower_bound_margin(op, x, policy).passed
-            ok = ok and mixture_residual(op, x).passed
+            ok = ok and all(c.passed for c in pinching_checks(op, x, policy))
             if not ok:
                 dim_violations += 1
         total += dim_violations

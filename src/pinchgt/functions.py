@@ -9,12 +9,11 @@ consistent with the projectors used elsewhere.
 import numpy as np
 
 from .core import HermitianMatrix
-from .errors import DomainError, NotPositiveDefinite
+from .errors import DomainError
 from .policy import DEFAULT_POLICY, NumericPolicy
-from .spectral import SpectralDecomposition, decompose, is_positive_definite
+from .spectral import SpectralDecomposition, decompose, require_positive_definite
 
 __all__ = [
-    "apply_spectral_function",
     "apply_to_decomposition",
     "herm_exp",
     "herm_log",
@@ -34,16 +33,9 @@ def apply_to_decomposition(f, dec: SpectralDecomposition) -> HermitianMatrix:
     return HermitianMatrix((dec.vectors * weights) @ dec.vectors.conj().T)
 
 
-def apply_spectral_function(
-    f, a: HermitianMatrix, policy: NumericPolicy = DEFAULT_POLICY
-) -> HermitianMatrix:
-    """f(A) = sum_i f(lambda_i) P_i over the clustered decomposition of A."""
-    return apply_to_decomposition(f, decompose(a, policy))
-
-
 def herm_exp(a: HermitianMatrix, policy: NumericPolicy = DEFAULT_POLICY) -> HermitianMatrix:
     """Matrix exponential of a Hermitian matrix; always positive definite."""
-    return apply_spectral_function(np.exp, a, policy)
+    return apply_to_decomposition(np.exp, decompose(a, policy))
 
 
 def herm_log(a: HermitianMatrix, policy: NumericPolicy = DEFAULT_POLICY) -> HermitianMatrix:
@@ -54,9 +46,5 @@ def herm_log(a: HermitianMatrix, policy: NumericPolicy = DEFAULT_POLICY) -> Herm
     logarithm would be unbounded.
     """
     dec = decompose(a, policy)
-    if not is_positive_definite(dec, policy):
-        raise NotPositiveDefinite(
-            f"logarithm needs a positive definite operand; smallest clustered "
-            f"eigenvalue is {float(dec.eigenvalues[0]):.6e}"
-        )
+    require_positive_definite(dec, policy, what="logarithm operand")
     return apply_to_decomposition(np.log, dec)

@@ -4,7 +4,7 @@ A pinching zeroes the off-diagonal blocks of a partitioned matrix. The
 *spectral* pinching map of a reference matrix A sends X to
 sum_i P_i X P_i over the spectral projectors of A, which is exactly
 block-diagonal extraction in the eigenbasis of A. The map has three
-defining properties, each with a check below:
+defining properties, all checked by :func:`pinching_checks`:
 
 * its output commutes with the reference matrix,
 * it preserves the weighted trace tr[X A],
@@ -35,10 +35,7 @@ __all__ = [
     "block_diagonal_part",
     "pinch",
     "pinch_via_mixture",
-    "commutation_residual",
-    "trace_preservation_residual",
-    "lower_bound_margin",
-    "mixture_residual",
+    "pinching_checks",
 ]
 
 
@@ -127,36 +124,15 @@ def pinch_via_mixture(op: PinchOperator, x: HermitianMatrix) -> HermitianMatrix:
     return HermitianMatrix(v @ (acc / n) @ v.conj().T)
 
 
-def commutation_residual(op: PinchOperator, x: HermitianMatrix) -> Check:
-    """Norm of [pinch(X), A] against its tolerance."""
-    _require_dim(op, x)
-    a = op.base.reconstruct().mat
-    px = pinch(op, x).mat
-    residual = float(np.linalg.norm(px @ a - a @ px))
-    return Check(
-        "pinch_commutes_with_base", residual, COMMUTATION_TOL * bilinear_scale(a, x.mat)
-    )
-
-
-def trace_preservation_residual(op: PinchOperator, x: HermitianMatrix) -> Check:
-    """|tr[pinch(X) A] - tr[X A]| against its tolerance."""
-    _require_dim(op, x)
-    a = op.base.reconstruct().mat
-    px = pinch(op, x).mat
-    residual = float(abs(np.trace(px @ a) - np.trace(x.mat @ a)))
-    return Check(
-        "pinch_preserves_weighted_trace", residual, TRACE_TOL * bilinear_scale(a, x.mat)
-    )
-
-
-def lower_bound_margin(
+def pinching_checks(
     op: PinchOperator, x: HermitianMatrix, policy: NumericPolicy = DEFAULT_POLICY
-) -> Check:
-    """pinch(X) >= X/n: the negative part of the spectrum of pinch(X) - X/n.
+) -> tuple[Check, ...]:
+    """The pinching properties and the mixture identity, from one pinch of X.
 
-    The residual is -min_eigenvalue of the difference. Only defined for PSD
-    operands, since the mixture representation forces the bound only then;
-    non-PSD X raises NotPSD.
+    In certificate order: the norm of [pinch(X), A]; |tr[pinch(X) A] - tr[X A]|;
+    pinch(X) >= X/n as minus the smallest eigenvalue of pinch(X) - X/n; and
+    the Frobenius gap to :func:`pinch_via_mixture`. The lower bound is only
+    forced for PSD operands, so non-PSD X raises NotPSD before any check.
     """
     _require_dim(op, x)
     w = eigvals(x)
@@ -165,16 +141,22 @@ def lower_bound_margin(
         raise NotPSD(
             f"operand must be PSD for the lower bound; min eigenvalue {float(w[0]):.6e}"
         )
-    diff = pinch(op, x) - scale(1.0 / op.n, x)
-    dw = eigvals(diff)
+    a = op.base.reconstruct().mat
+    pinched = pinch(op, x)
+    px = pinched.mat
+    bilinear = bilinear_scale(a, x.mat)
+    commutation = float(np.linalg.norm(px @ a - a @ px))
+    trace = float(abs(np.trace(px @ a) - np.trace(x.mat @ a)))
+    dw = eigvals(pinched - scale(1.0 / op.n, x))
     radius = max(1.0, abs(float(dw[0])), abs(float(dw[-1])))
-    return Check("pinch_dominates_scaled_operand", -float(dw[0]), policy.psd_tol * radius)
-
-
-def mixture_residual(op: PinchOperator, x: HermitianMatrix) -> Check:
-    """Frobenius gap between the eigenbasis and dephasing-mixture routes."""
-    _require_dim(op, x)
-    gap = pinch(op, x).mat - pinch_via_mixture(op, x).mat
-    residual = float(np.linalg.norm(gap))
-    tol = MIXTURE_TOL * op.n * (1.0 + float(np.linalg.norm(x.mat)))
-    return Check("pinch_equals_dephasing_mixture", residual, tol)
+    mixture = float(np.linalg.norm(px - pinch_via_mixture(op, x).mat))
+    return (
+        Check("pinch_commutes_with_base", commutation, COMMUTATION_TOL * bilinear),
+        Check("pinch_preserves_weighted_trace", trace, TRACE_TOL * bilinear),
+        Check("pinch_dominates_scaled_operand", -float(dw[0]), policy.psd_tol * radius),
+        Check(
+            "pinch_equals_dephasing_mixture",
+            mixture,
+            MIXTURE_TOL * op.n * (1.0 + float(np.linalg.norm(x.mat))),
+        ),
+    )

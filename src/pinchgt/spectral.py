@@ -71,12 +71,18 @@ class SpectralDecomposition:
     occupying a contiguous block of columns; P_i is V_i V_i† for that block.
     No projector is ever materialized, so a high-dimensional decomposition
     with many clusters costs eigenvector storage, never n projector matrices.
+    ``source`` is the decomposed matrix itself, kept for callers that need
+    both the matrix and its spectrum.
     """
 
-    source_dim: int
+    source: HermitianMatrix
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
     vectors: np.ndarray
+
+    @property
+    def source_dim(self) -> int:
+        return self.source.dim
 
     @property
     def n(self) -> int:
@@ -122,7 +128,7 @@ def decompose(
     edges = np.concatenate(([0], np.cumsum(sizes)))
     reps = np.array([w[edges[i] : edges[i + 1]].mean() for i in range(len(sizes))])
     return SpectralDecomposition(
-        source_dim=a.dim,
+        source=a,
         eigenvalues=reps,
         multiplicities=sizes,
         vectors=v,

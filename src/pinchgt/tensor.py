@@ -15,9 +15,9 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .core import HermitianMatrix, as_array
-from .errors import NotPositiveDefinite, SizeOverflow
+from .errors import SizeOverflow
 from .policy import DEFAULT_POLICY, NumericPolicy
-from .spectral import SpectralDecomposition, is_positive_definite
+from .spectral import SpectralDecomposition, require_positive_definite
 
 __all__ = [
     "DIM_CAP",
@@ -110,11 +110,8 @@ def count_distinct_spectrum(
     """
     if m < 1:
         raise ValueError(f"power must be a positive integer, got {m}")
-    if not is_positive_definite(dec, policy):
-        raise NotPositiveDefinite(
-            "spectrum counting works in the log domain and needs a positive "
-            f"definite base; smallest clustered eigenvalue {float(dec.eigenvalues[0]):.6e}"
-        )
+    # the sums below are taken in the log domain
+    require_positive_definite(dec, policy, what="tensor-power base")
     n = dec.n
     exact_bound, log_bound = binomial_bound(m, n)
     if exact_bound > _ENUMERATION_CAP:

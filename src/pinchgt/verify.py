@@ -19,7 +19,7 @@ bound = target + (1/m) log |spec(A^(x)m)| the finite-m upper bound on s0.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,8 +40,8 @@ from .policy import (
     NumericPolicy,
     bilinear_scale,
 )
-from .spectral import decompose, eigvals, require_positive_definite
-from .tensor import DIM_CAP, binomial_bound, count_distinct_spectrum, tensor_power
+from .spectral import SpectralDecomposition, decompose, eigvals, require_positive_definite
+from .tensor import DIM_CAP, SpectrumCount, count_distinct_spectrum, tensor_power
 
 __all__ = [
     "GTReport",
@@ -51,7 +51,6 @@ __all__ = [
     "convergence_study",
     "finite_power_certificate",
     "chain_checks",
-    "analytic_gap_bound",
 ]
 
 
@@ -71,6 +70,7 @@ class GTReport:
 
     ``checks`` holds the ``golden_thompson_gap`` check and, for a commuting
     pair, the ``commuting_equality`` check that the two sides agree.
+    ``exp_a`` and ``exp_b`` are the two factors of ``rhs``.
     """
 
     lhs: float  # tr exp(A + B)
@@ -78,6 +78,8 @@ class GTReport:
     gap: float  # rhs - lhs; nonnegative up to tolerance iff the inequality holds
     commuting: bool
     checks: tuple[Check, ...]
+    exp_a: HermitianMatrix = field(repr=False, compare=False)
+    exp_b: HermitianMatrix = field(repr=False, compare=False)
 
     @property
     def holds(self) -> bool:
@@ -108,7 +110,9 @@ def gt_check(
     commuting = commutator <= COMMUTATION_TOL * bilinear_scale(a.mat, b.mat)
     if commuting:
         checks += (Check("commuting_equality", abs(gap), gap_tol),)
-    return GTReport(lhs=lhs, rhs=rhs, gap=gap, commuting=commuting, checks=checks)
+    return GTReport(
+        lhs=lhs, rhs=rhs, gap=gap, commuting=commuting, checks=checks, exp_a=ea, exp_b=eb
+    )
 
 
 @dataclass(frozen=True)
@@ -133,16 +137,6 @@ class ChainTrace:
     full_matrix_tier: bool
 
 
-def _pd_pair_decompositions(a, b, policy):
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    dec_a = decompose(a, policy)
-    dec_b = decompose(b, policy)
-    require_positive_definite(dec_a, policy, what="first operand")
-    require_positive_definite(dec_b, policy, what="second operand")
-    return dec_a, dec_b
-
-
 def _log_trace_product(a: HermitianMatrix, b: HermitianMatrix) -> float:
     """log tr(AB) for PD operands; the trace is real and positive."""
     t = complex(np.trace(a.mat @ b.mat))
@@ -151,6 +145,32 @@ def _log_trace_product(a: HermitianMatrix, b: HermitianMatrix) -> float:
             f"tr(AB) has imaginary residue {t.imag:.3e} beyond tolerance"
         )
     return math.log(t.real)
+
+
+def _pd_pair_terms(
+    dec_a: SpectralDecomposition,
+    dec_b: SpectralDecomposition,
+    m: int,
+    policy: NumericPolicy,
+) -> tuple[np.ndarray, float, SpectrumCount]:
+    """The terms shared by the chain and the certificate for a PD pair.
+
+    Returns the eigenvalues of log A + log B, log tr(AB) and the spectrum
+    count N_m of the m-th tensor power of A.
+    """
+    if m < 1:
+        raise ValueError(f"power must be a positive integer, got {m}")
+    if dec_a.source_dim != dec_b.source_dim:
+        raise DimensionMismatch(
+            f"dimensions differ: {dec_a.source_dim} vs {dec_b.source_dim}"
+        )
+    require_positive_definite(dec_a, policy, what="first operand")
+    require_positive_definite(dec_b, policy, what="second operand")
+    log_a = apply_to_decomposition(np.log, dec_a)
+    log_b = apply_to_decomposition(np.log, dec_b)
+    w = eigvals(log_a + log_b)
+    target = _log_trace_product(dec_a.source, dec_b.source)
+    return w, target, count_distinct_spectrum(dec_a, m, policy)
 
 
 def chain_trace(
@@ -169,16 +189,8 @@ def chain_trace(
     SizeOverflow error instead. The spectrum-count bound is combinatorial
     and has no cap.
     """
-    if m < 1:
-        raise ValueError(f"power must be a positive integer, got {m}")
-    dec_a, dec_b = _pd_pair_decompositions(a, b, policy)
-
-    log_a = apply_to_decomposition(np.log, dec_a)
-    log_b = apply_to_decomposition(np.log, dec_b)
-    s0 = _log_trace_exp(log_a + log_b)
-    target = _log_trace_product(a, b)
-
-    spectrum = count_distinct_spectrum(dec_a, m, policy)
+    w, target, spectrum = _pd_pair_terms(decompose(a, policy), decompose(b, policy), m, policy)
+    s0 = _logsumexp(w)
     bound = target + spectrum.log_count / m
     gap_bound = spectrum.log_bound / m
 
@@ -255,32 +267,21 @@ def convergence_study(
 
 
 def finite_power_certificate(
-    a: HermitianMatrix,
-    b: HermitianMatrix,
+    dec_a: SpectralDecomposition,
+    dec_b: SpectralDecomposition,
     m: int,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> Check:
     """Finite-m certificate: tr exp(log A + log B) <= N_m^(1/m) tr(AB).
 
-    N_m is the distinct-spectrum count of the m-th tensor power of A; the
-    residual is lhs - rhs. The certificate's m -> infinity limit is the
-    trace inequality itself; fed exp A and exp B (always PD) for arbitrary
+    Takes the decompositions of the PD pair A, B. N_m is the
+    distinct-spectrum count of the m-th tensor power of A; the residual is
+    lhs - rhs. The certificate's m -> infinity limit is the trace
+    inequality itself; fed exp A and exp B (always PD) for arbitrary
     Hermitian A, B, that limit is tr exp(A+B) <= tr(exp A exp B). Never
     materializes tensor powers.
     """
-    if m < 1:
-        raise ValueError(f"power must be a positive integer, got {m}")
-    dec_a, dec_b = _pd_pair_decompositions(a, b, policy)
-    log_a = apply_to_decomposition(np.log, dec_a)
-    log_b = apply_to_decomposition(np.log, dec_b)
-    lhs = float(np.sum(np.exp(eigvals(log_a + log_b))))
-    spectrum = count_distinct_spectrum(dec_a, m, policy)
-    trace_ab = math.exp(_log_trace_product(a, b))
-    rhs = spectrum.distinct_count ** (1.0 / m) * trace_ab
+    w, target, spectrum = _pd_pair_terms(dec_a, dec_b, m, policy)
+    lhs = float(np.sum(np.exp(w)))
+    rhs = spectrum.distinct_count ** (1.0 / m) * math.exp(target)
     return Check("finite_power_certificate", lhs - rhs, GT_GAP_TOL * (abs(lhs) + abs(rhs)))
-
-
-def analytic_gap_bound(m: int, n_distinct: int) -> float:
-    """(1/m) log C(m+n-1, n-1): the convergence rate of the chain bound."""
-    _, log_value = binomial_bound(m, n_distinct)
-    return log_value / m

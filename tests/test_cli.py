@@ -10,6 +10,7 @@ from pinchgt import (
     GTReport,
     chain_trace,
     construct_hermitian,
+    herm_exp,
     load_matrix,
     matrix_digest,
     random_pd,
@@ -193,16 +194,42 @@ def test_gt_violation_plumbing(pair, capsys, monkeypatch):
     """Exit code 1 is wired to failing checks (forced via a stubbed report)."""
     import pinchgt.cli as cli
 
+    pa, pb, a, b = pair
     fake = GTReport(
         lhs=2.0, rhs=1.0, gap=-1.0, commuting=False,
         checks=(Check("golden_thompson_gap", 1.0, 3e-9),),
+        exp_a=herm_exp(a), exp_b=herm_exp(b),
     )
     monkeypatch.setattr(cli, "gt_check", lambda a, b, policy: fake)
-    pa, pb, _, _ = pair
     assert main(["check", pa, pb]) == 1
     cert = json.loads(capsys.readouterr().out)
     assert cert["verdict"] == "violation"
     assert not cert["checks"][0]["passed"]
+
+
+def test_one_pass_per_certificate(pair, capsys, monkeypatch):
+    """A check op decomposes each of A, B, exp A and exp B once and pinches
+    exp A once; a random-suite trial pinches its operand once."""
+    import pinchgt.pinching
+    import pinchgt.spectral
+
+    calls = {"eigh": 0, "pinch": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pinchgt.spectral, "eigh", counted("eigh", pinchgt.spectral.eigh))
+    monkeypatch.setattr(pinchgt.pinching, "pinch", counted("pinch", pinchgt.pinching.pinch))
+    pa, pb, _, _ = pair
+    assert main(["check", pa, pb]) == 0
+    assert calls == {"eigh": 4, "pinch": 1}
+    calls.update(eigh=0, pinch=0)
+    assert main(["random-suite", "--dims", "3", "--trials", "1"]) == 0
+    assert calls["pinch"] == 1
+    capsys.readouterr()
 
 
 def test_non_real_trace_exits_2(pair, capsys, monkeypatch):

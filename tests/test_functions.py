@@ -7,7 +7,6 @@ import pytest
 from pinchgt import (
     DomainError,
     NotPositiveDefinite,
-    apply_spectral_function,
     apply_to_decomposition,
     construct_hermitian,
     decompose,
@@ -73,7 +72,7 @@ def test_exp_commutes_with_operand():
 
 def test_custom_function():
     a = construct_hermitian(np.diag([1.0, 4.0, 9.0]))
-    r = apply_spectral_function(np.sqrt, a)
+    r = apply_to_decomposition(np.sqrt, decompose(a))
     npt.assert_allclose(r.mat, np.diag([1.0, 2.0, 3.0]), atol=1e-12)
 
 
@@ -88,12 +87,12 @@ def test_function_respects_clusters():
 def test_domain_error_on_raising_function():
     a = construct_hermitian(np.diag([1.0, -1.0]))
     with pytest.raises(DomainError):
-        apply_spectral_function(math.log, a)
+        apply_to_decomposition(math.log, decompose(a))
     with pytest.raises(DomainError):
-        apply_spectral_function(lambda x: 1.0 / (x - 1.0), identity(2))
+        apply_to_decomposition(lambda x: 1.0 / (x - 1.0), decompose(identity(2)))
 
 
 def test_domain_error_on_non_finite_result():
     a = construct_hermitian(np.diag([0.0, 1.0]))
     with pytest.raises(DomainError):
-        apply_spectral_function(lambda x: float("nan") if x == 0.0 else x, a)
+        apply_to_decomposition(lambda x: float("nan") if x == 0.0 else x, decompose(a))

@@ -7,20 +7,18 @@ from pinchgt import (
     DimensionMismatch,
     NotPSD,
     block_diagonal_part,
-    commutation_residual,
     construct_hermitian,
-    lower_bound_margin,
-    mixture_residual,
     pinch,
     pinch_operator,
     pinch_via_mixture,
+    pinching_checks,
     random_hermitian,
     random_pd,
     random_psd,
     random_unitary,
     scale,
-    trace_preservation_residual,
 )
+from pinchgt.policy import COMMUTATION_TOL, MIXTURE_TOL, TRACE_TOL, bilinear_scale
 
 
 def oracle_pinch(base_mat, x_mat, gap=1e-8):
@@ -130,27 +128,36 @@ def test_property_commutation():
     for seed in range(10):
         dim = 2 + seed % 6
         op = pinch_operator(random_pd(dim, seed))
-        assert commutation_residual(op, random_hermitian(dim, seed + 900)).passed
+        x = random_hermitian(dim, seed + 900)
+        a = op.base.reconstruct().mat
+        px = pinch(op, x).mat
+        residual = np.linalg.norm(px @ a - a @ px)
+        assert residual <= COMMUTATION_TOL * bilinear_scale(a, x.mat)
 
 
 def test_property_trace_preservation():
     for seed in range(10):
         dim = 2 + seed % 6
         op = pinch_operator(random_pd(dim, seed))
-        assert trace_preservation_residual(op, random_hermitian(dim, seed + 900)).passed
+        x = random_hermitian(dim, seed + 900)
+        a = op.base.reconstruct().mat
+        residual = abs(np.trace(pinch(op, x).mat @ a) - np.trace(x.mat @ a))
+        assert residual <= TRACE_TOL * bilinear_scale(a, x.mat)
 
 
 def test_property_lower_bound():
     for seed in range(10):
         dim = 2 + seed % 6
         op = pinch_operator(random_pd(dim, seed))
-        assert lower_bound_margin(op, random_psd(dim, seed + 900)).passed
+        lower = pinching_checks(op, random_psd(dim, seed + 900))[2]
+        assert lower.name == "pinch_dominates_scaled_operand"
+        assert lower.passed
 
 
 def test_lower_bound_rejects_indefinite_operand():
     op = pinch_operator(random_pd(2, 4))
     with pytest.raises(NotPSD):
-        lower_bound_margin(op, construct_hermitian(np.diag([1.0, -1.0])))
+        pinching_checks(op, construct_hermitian(np.diag([1.0, -1.0])))
 
 
 def test_mixture_route_agrees():
@@ -161,7 +168,8 @@ def test_mixture_route_agrees():
         npt.assert_allclose(
             pinch_via_mixture(op, x).mat, pinch(op, x).mat, atol=1e-11
         )
-        assert mixture_residual(op, x).passed
+        residual = np.linalg.norm(pinch(op, x).mat - pinch_via_mixture(op, x).mat)
+        assert residual <= MIXTURE_TOL * op.n * (1.0 + np.linalg.norm(x.mat))
 
 
 def test_mixture_with_degeneracy():

@@ -8,7 +8,7 @@ from pinchgt import (
     DimensionMismatch,
     NotPositiveDefinite,
     SizeOverflow,
-    analytic_gap_bound,
+    binomial_bound,
     chain_checks,
     chain_trace,
     construct_hermitian,
@@ -209,10 +209,10 @@ def test_convergence_study_validation():
 
 
 def test_analytic_gap_bound_scalars():
-    assert analytic_gap_bound(1, 2) == pytest.approx(math.log(2.0), abs=1e-15)
-    assert analytic_gap_bound(2, 2) == pytest.approx(math.log(3.0) / 2.0, abs=1e-15)
-    assert analytic_gap_bound(4, 2) == pytest.approx(math.log(5.0) / 4.0, abs=1e-15)
-    assert analytic_gap_bound(8, 2) == pytest.approx(math.log(9.0) / 8.0, abs=1e-15)
+    assert binomial_bound(1, 2)[1] / 1 == pytest.approx(math.log(2.0), abs=1e-15)
+    assert binomial_bound(2, 2)[1] / 2 == pytest.approx(math.log(3.0) / 2.0, abs=1e-15)
+    assert binomial_bound(4, 2)[1] / 4 == pytest.approx(math.log(5.0) / 4.0, abs=1e-15)
+    assert binomial_bound(8, 2)[1] / 8 == pytest.approx(math.log(9.0) / 8.0, abs=1e-15)
 
 
 def o_certificate_sides(a, b, m):
@@ -227,7 +227,7 @@ def test_finite_power_certificate():
         dim = 2 + seed % 4
         a = random_pd(dim, seed + 900)
         b = random_pd(dim, seed + 901)
-        c = finite_power_certificate(a, b, 3)
+        c = finite_power_certificate(decompose(a), decompose(b), 3)
         lhs, rhs = o_certificate_sides(a, b, 3)
         assert lhs <= rhs * (1.0 + 1e-9)
         assert c.residual == pytest.approx(lhs - rhs, rel=1e-9)
@@ -240,7 +240,7 @@ def test_certificate_tightens_with_power():
     gaps = []
     for m in (1, 2, 4, 8):
         lhs, rhs = o_certificate_sides(a, b, m)
-        gaps.append(-finite_power_certificate(a, b, m).residual)
+        gaps.append(-finite_power_certificate(decompose(a), decompose(b), m).residual)
         assert lhs <= rhs * (1.0 + 1e-9)
     assert gaps[-1] < gaps[0]
 
@@ -250,10 +250,13 @@ def test_certify_arbitrary_hermitian():
         dim = 2 + seed % 4
         a = random_hermitian(dim, seed)
         b = random_hermitian(dim, seed + 5000)
-        assert finite_power_certificate(herm_exp(a), herm_exp(b), 2).passed
+        c = finite_power_certificate(decompose(herm_exp(a)), decompose(herm_exp(b)), 2)
+        assert c.passed
 
 
 def test_certificate_scale_invariance():
     a = random_pd(3, 21)
     b = random_pd(3, 22)
-    assert finite_power_certificate(scale(100.0, a), scale(0.01, b), 2).passed
+    assert finite_power_certificate(
+        decompose(scale(100.0, a)), decompose(scale(0.01, b)), 2
+    ).passed
