@@ -181,6 +181,14 @@ def cmd_random_suite(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be positive, got {args.trials}")
     dims = _parse_dims(args.dims)
+    n_trials = len(dims) * args.trials
+    # trial k draws with the keys 4 (seed + k) .. 4 (seed + k) + 3, and a
+    # generator key must lie in [0, 2**128)
+    max_seed = 2**126 - n_trials
+    if not 0 <= args.seed <= max_seed:
+        raise ValueError(
+            f"--seed must be between 0 and {max_seed} for {n_trials} trials, got {args.seed}"
+        )
 
     idx = 0
     total = 0
@@ -202,7 +210,7 @@ def cmd_random_suite(args: argparse.Namespace) -> int:
                 dim_violations += 1
         total += dim_violations
         out_lines.append(f"dim {dim}: {args.trials} trials, {dim_violations} violations")
-    out_lines.append(f"total: {len(dims) * args.trials} trials, {total} violations")
+    out_lines.append(f"total: {n_trials} trials, {total} violations")
     sys.stdout.write("\n".join(out_lines) + "\n")
     return 1 if total else 0
 

@@ -3,7 +3,18 @@
 Construction gate, basic algebra, Loewner-order comparison, and seeded
 random test instances. Everything here is immutable after construction, so
 any operation may run concurrently on shared inputs.
+
+The seeded generators draw from one Philox generator per thread, held in a
+``threading.local`` and re-keyed on every call: counter 0, key ``seed``
+(split into two 64-bit words), empty output buffer. That is exactly the
+state of a fresh ``Generator(Philox(key=seed))``, so each draw is a pure
+function of its seed, as before, without building a generator and an
+unused entropy ``SeedSequence`` per call. Threads never share the
+generator, so concurrent draws do not interleave.
 """
+
+import operator
+import threading
 
 import numpy as np
 
@@ -30,19 +41,12 @@ def as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.complex128)
 
 
-def _symmetrized(mat: np.ndarray) -> np.ndarray:
-    """(M + M†)/2 with the diagonal imaginary parts zeroed exactly."""
-    sym = 0.5 * (mat + mat.conj().T)
-    idx = np.arange(sym.shape[0])
-    sym[idx, idx] = sym[idx, idx].real
-    return sym
-
-
 class HermitianMatrix:
     """Immutable d x d complex matrix with exact Hermitian symmetry.
 
-    Entries satisfy ``mat[i, j] == conj(mat[j, i])`` bit-exactly and the
-    diagonal is exactly real: the constructor symmetrizes unconditionally.
+    Entries satisfy ``mat[i, j] == conj(mat[j, i])`` exactly and the
+    diagonal is exactly real (imaginary part +0.0): the constructor
+    symmetrizes unconditionally.
     It trusts its input to be Hermitian up to roundoff; untrusted input
     must go through :func:`construct_hermitian`, which enforces the
     asymmetry tolerance before symmetrizing.
@@ -51,14 +55,17 @@ class HermitianMatrix:
     __slots__ = ("_mat",)
 
     def __init__(self, mat):
-        arr = np.array(mat, dtype=np.complex128)
+        arr = np.asarray(mat, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise NotSquare(f"expected a square matrix, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
+        # a new array, so the caller's input is never aliased; for finite
+        # input the diagonal's imaginary part is b + (-b) = +0.0 exactly
+        sym = 0.5 * (arr + arr.conj().T)
+        # checked after the sum, which overflows for entries above ~8.99e307
+        if not np.isfinite(sym).all():
             raise NotFinite("matrix entries must be finite (no NaN/inf)")
-        arr = _symmetrized(arr)
-        arr.flags.writeable = False
-        self._mat = arr
+        sym.flags.writeable = False
+        self._mat = sym
 
     @property
     def mat(self) -> np.ndarray:
@@ -168,10 +175,33 @@ def loewner_leq(
     return float(w[0]) >= -policy.psd_tol * spectral_scale
 
 
+_KEY_LIMIT = 1 << 128  # Philox keys are two 64-bit words
+_WORD = (1 << 64) - 1
+_thread_state = threading.local()
+
+
 def _generator(seed: int) -> np.random.Generator:
+    """This thread's generator, in the state of ``Generator(Philox(key=seed))``."""
     # counter-based generator: trials seeded independently stay reproducible
     # regardless of execution order
-    return np.random.Generator(np.random.Philox(key=seed))
+    seed = operator.index(seed)
+    if not 0 <= seed < _KEY_LIMIT:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    rng = getattr(_thread_state, "rng", None)
+    if rng is None:
+        rng = _thread_state.rng = np.random.Generator(np.random.Philox(key=0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([seed & _WORD, seed >> 64], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def random_pd(dim: int, seed: int, floor: float = 1.0) -> HermitianMatrix:

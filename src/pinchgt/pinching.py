@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HermitianMatrix, as_array, scale
+from .core import HermitianMatrix, as_array
 from .errors import BadPartition, DimensionMismatch, NotPSD
 from .policy import (
     COMMUTATION_TOL,
@@ -108,20 +108,20 @@ def pinch_via_mixture(op: PinchOperator, x: HermitianMatrix) -> HermitianMatrix:
     U_y = sum_u exp(i 2 pi y u / n) P_u, with projector u (1-based, ascending
     eigenvalue order), is diagonal in the eigenbasis of the reference, so
     each conjugation is a Schur product with the outer product of its
-    phases there: one basis change and O(n d^2) phase work. The phase sum is
-    evaluated term by term and never replaced by the block mask, so this
-    stays an independent route from :func:`pinch`.
+    phases there. The n terms sum to one Schur product with
+    sum_y phi_y phi_y^*, formed as one (d x n)(n x d) product of the phase
+    table: one basis change and O(n d^2) phase work. The phase sum is
+    evaluated as such and never replaced by the block mask, so this stays
+    an independent route from :func:`pinch`.
     """
     _require_dim(op, x)
     n = op.n
     v = op.base.vectors
     in_basis = v.conj().T @ x.mat @ v
     labels = op.base.column_weights(np.arange(1, n + 1))
-    acc = np.zeros_like(in_basis)
-    for y in range(1, n + 1):
-        phases = np.exp(2j * np.pi * y * labels / n)
-        acc += phases[:, None] * in_basis * phases.conj()
-    return HermitianMatrix(v @ (acc / n) @ v.conj().T)
+    phases = np.exp(2j * np.pi * np.arange(1, n + 1)[:, None] * labels / n)
+    mixture = phases.T @ phases.conj()
+    return HermitianMatrix(v @ (in_basis * mixture / n) @ v.conj().T)
 
 
 def pinching_checks(
@@ -142,12 +142,11 @@ def pinching_checks(
             f"operand must be PSD for the lower bound; min eigenvalue {float(w[0]):.6e}"
         )
     a = op.base.reconstruct().mat
-    pinched = pinch(op, x)
-    px = pinched.mat
+    px = pinch(op, x).mat
     bilinear = bilinear_scale(a, x.mat)
     commutation = float(np.linalg.norm(px @ a - a @ px))
     trace = float(abs(np.trace(px @ a) - np.trace(x.mat @ a)))
-    dw = eigvals(pinched - scale(1.0 / op.n, x))
+    dw = eigvals(px - (1.0 / op.n) * x.mat)
     radius = max(1.0, abs(float(dw[0])), abs(float(dw[-1])))
     mixture = float(np.linalg.norm(px - pinch_via_mixture(op, x).mat))
     return (

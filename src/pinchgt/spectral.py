@@ -45,7 +45,9 @@ def eigh(a, policy: NumericPolicy = DEFAULT_POLICY):
             f"eigendecomposition residual {residual:.3e} exceeds "
             f"{policy.residual_tol:.1e} * (1 + ||A||_F)"
         )
-    ortho = np.linalg.norm(v.conj().T @ v - np.eye(len(w)))
+    gram = v.conj().T @ v
+    gram.flat[:: len(w) + 1] -= 1.0
+    ortho = np.linalg.norm(gram)
     if ortho > policy.residual_tol:
         raise ConvergenceFailure(
             f"eigenbasis orthonormality defect {ortho:.3e} exceeds {policy.residual_tol:.1e}"
@@ -102,15 +104,6 @@ class SpectralDecomposition:
         return HermitianMatrix((self.vectors * weights) @ self.vectors.conj().T)
 
 
-def _cluster_sizes(w: np.ndarray, gap: float) -> np.ndarray:
-    """Sizes of maximal chains of ascending values with adjacent gaps <= gap."""
-    if len(w) == 1:
-        return np.array([1])
-    breaks = np.flatnonzero(np.diff(w) > gap)
-    edges = np.concatenate(([0], breaks + 1, [len(w)]))
-    return np.diff(edges)
-
-
 def decompose(
     a: HermitianMatrix, policy: NumericPolicy = DEFAULT_POLICY
 ) -> SpectralDecomposition:
@@ -124,9 +117,13 @@ def decompose(
     w, v = eigh(a, policy)
     radius = max(abs(float(w[0])), abs(float(w[-1])))
     gap = policy.cluster_tol * max(1.0, radius)
-    sizes = _cluster_sizes(w, gap)
-    edges = np.concatenate(([0], np.cumsum(sizes)))
-    reps = np.array([w[edges[i] : edges[i + 1]].mean() for i in range(len(sizes))])
+    # cluster i spans w[edges[i] : edges[i + 1]]; a gap above `gap` starts one
+    edges = np.concatenate(([0], np.flatnonzero(w[1:] - w[:-1] > gap) + 1, [len(w)]))
+    sizes = edges[1:] - edges[:-1]
+    # the mean of a singleton is its one value, so only larger clusters average
+    reps = w[edges[:-1]]
+    for i in np.flatnonzero(sizes > 1):
+        reps[i] = w[edges[i] : edges[i + 1]].mean()
     return SpectralDecomposition(
         source=a,
         eigenvalues=reps,

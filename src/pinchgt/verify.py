@@ -41,7 +41,7 @@ from .policy import (
     bilinear_scale,
 )
 from .spectral import SpectralDecomposition, decompose, eigvals, require_positive_definite
-from .tensor import DIM_CAP, SpectrumCount, count_distinct_spectrum, tensor_power
+from .tensor import DIM_CAP, count_distinct_spectrum, tensor_power
 
 __all__ = [
     "GTReport",
@@ -99,7 +99,7 @@ def gt_check(
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    lhs = float(np.sum(np.exp(eigvals(a + b))))
+    lhs = float(np.sum(np.exp(eigvals(a.mat + b.mat))))
     ea = herm_exp(a, policy)
     eb = herm_exp(b, policy)
     rhs = float(np.trace(ea.mat @ eb.mat).real)
@@ -147,19 +147,18 @@ def _log_trace_product(a: HermitianMatrix, b: HermitianMatrix) -> float:
     return math.log(t.real)
 
 
-def _pd_pair_terms(
-    dec_a: SpectralDecomposition,
-    dec_b: SpectralDecomposition,
-    m: int,
-    policy: NumericPolicy,
-) -> tuple[np.ndarray, float, SpectrumCount]:
-    """The terms shared by the chain and the certificate for a PD pair.
-
-    Returns the eigenvalues of log A + log B, log tr(AB) and the spectrum
-    count N_m of the m-th tensor power of A.
-    """
+def _require_power(m: int) -> None:
     if m < 1:
         raise ValueError(f"power must be a positive integer, got {m}")
+
+
+def _pd_pair_terms(
+    dec_a: SpectralDecomposition, dec_b: SpectralDecomposition, policy: NumericPolicy
+) -> tuple[np.ndarray, float]:
+    """The power-independent terms of the chain and the certificate for a PD pair.
+
+    Returns the eigenvalues of log A + log B and log tr(AB).
+    """
     if dec_a.source_dim != dec_b.source_dim:
         raise DimensionMismatch(
             f"dimensions differ: {dec_a.source_dim} vs {dec_b.source_dim}"
@@ -169,8 +168,7 @@ def _pd_pair_terms(
     log_a = apply_to_decomposition(np.log, dec_a)
     log_b = apply_to_decomposition(np.log, dec_b)
     w = eigvals(log_a + log_b)
-    target = _log_trace_product(dec_a.source, dec_b.source)
-    return w, target, count_distinct_spectrum(dec_a, m, policy)
+    return w, _log_trace_product(dec_a.source, dec_b.source)
 
 
 def chain_trace(
@@ -189,40 +187,63 @@ def chain_trace(
     SizeOverflow error instead. The spectrum-count bound is combinatorial
     and has no cap.
     """
-    w, target, spectrum = _pd_pair_terms(decompose(a, policy), decompose(b, policy), m, policy)
+    return _chain_rows(a, b, [m], policy, cap, force_full)[0]
+
+
+def _chain_rows(
+    a: HermitianMatrix,
+    b: HermitianMatrix,
+    ms: list[int],
+    policy: NumericPolicy,
+    cap: int,
+    force_full: bool,
+) -> list[ChainTrace]:
+    """Chain rows at the powers ms, with A and B decomposed once and the
+    power-independent s0 and target computed once."""
+    dec_a, dec_b = decompose(a, policy), decompose(b, policy)
+    _require_power(min(ms))
+    w, target = _pd_pair_terms(dec_a, dec_b, policy)
     s0 = _logsumexp(w)
-    bound = target + spectrum.log_count / m
-    gap_bound = spectrum.log_bound / m
-
-    full_tier = a.dim**m <= cap
-    if not full_tier and force_full:
-        raise SizeOverflow(
-            f"full tier forced but dimension {a.dim}**{m} exceeds cap {cap}"
+    rows = []
+    for m in ms:
+        spectrum = count_distinct_spectrum(dec_a, m, policy)
+        full_tier = a.dim**m <= cap
+        if not full_tier and force_full:
+            raise SizeOverflow(
+                f"full tier forced but dimension {a.dim}**{m} exceeds cap {cap}"
+            )
+        s0_tensorized, t_pinched = (
+            _full_tier_terms(a, b, m, policy, cap) if full_tier else (None, None)
         )
-    s0_tensorized = None
-    t_pinched = None
-    if full_tier:
-        a_m = tensor_power(a, m, cap=cap)
-        b_m = tensor_power(b, m, cap=cap)
-        dec_bm = decompose(b_m, policy)
-        log_am = herm_log(a_m, policy)
-        log_bm = apply_to_decomposition(np.log, dec_bm)
-        s0_tensorized = _log_trace_exp(log_am + log_bm) / m
-        pinched = pinch(PinchOperator(dec_bm), a_m)
-        log_pinched = herm_log(pinched, policy)
-        t_pinched = _log_trace_exp(log_pinched + log_bm) / m
+        rows.append(
+            ChainTrace(
+                m=m,
+                s0=s0,
+                s0_tensorized=s0_tensorized,
+                t_pinched=t_pinched,
+                target=target,
+                bound=target + spectrum.log_count / m,
+                gap_bound=spectrum.log_bound / m,
+                spectrum_count=spectrum.distinct_count,
+                full_matrix_tier=full_tier,
+            )
+        )
+    return rows
 
-    return ChainTrace(
-        m=m,
-        s0=s0,
-        s0_tensorized=s0_tensorized,
-        t_pinched=t_pinched,
-        target=target,
-        bound=bound,
-        gap_bound=gap_bound,
-        spectrum_count=spectrum.distinct_count,
-        full_matrix_tier=full_tier,
-    )
+
+def _full_tier_terms(
+    a: HermitianMatrix, b: HermitianMatrix, m: int, policy: NumericPolicy, cap: int
+) -> tuple[float, float]:
+    """s0_tensorized and t_pinched from the d^m-dimensional tensor powers."""
+    a_m = tensor_power(a, m, cap=cap)
+    b_m = tensor_power(b, m, cap=cap)
+    dec_bm = decompose(b_m, policy)
+    log_am = herm_log(a_m, policy)
+    log_bm = apply_to_decomposition(np.log, dec_bm)
+    s0_tensorized = _log_trace_exp(log_am + log_bm) / m
+    pinched = pinch(PinchOperator(dec_bm), a_m)
+    log_pinched = herm_log(pinched, policy)
+    return s0_tensorized, _log_trace_exp(log_pinched + log_bm) / m
 
 
 def chain_checks(rows: list[ChainTrace]) -> list[tuple[int, Check]]:
@@ -257,13 +278,17 @@ def convergence_study(
     policy: NumericPolicy = DEFAULT_POLICY,
     cap: int = DIM_CAP,
 ) -> list[ChainTrace]:
-    """One ChainTrace per power, for an ascending list of powers."""
+    """One ChainTrace per power, for an ascending list of powers.
+
+    Each row equals ``chain_trace(a, b, m, policy, cap=cap)``; A and B are
+    decomposed once and the power-independent terms computed once.
+    """
     ms = [int(m) for m in m_list]
     if not ms:
         raise ValueError("m_list must be non-empty")
     if any(m2 <= m1 for m1, m2 in zip(ms, ms[1:])):
         raise ValueError(f"m_list must be strictly ascending, got {ms}")
-    return [chain_trace(a, b, m, policy, cap=cap) for m in ms]
+    return _chain_rows(a, b, ms, policy, cap, False)
 
 
 def finite_power_certificate(
@@ -281,7 +306,9 @@ def finite_power_certificate(
     Hermitian A, B, that limit is tr exp(A+B) <= tr(exp A exp B). Never
     materializes tensor powers.
     """
-    w, target, spectrum = _pd_pair_terms(dec_a, dec_b, m, policy)
+    _require_power(m)
+    w, target = _pd_pair_terms(dec_a, dec_b, policy)
+    spectrum = count_distinct_spectrum(dec_a, m, policy)
     lhs = float(np.sum(np.exp(w)))
     rhs = spectrum.distinct_count ** (1.0 / m) * math.exp(target)
     return Check("finite_power_certificate", lhs - rhs, GT_GAP_TOL * (abs(lhs) + abs(rhs)))

@@ -184,6 +184,33 @@ def test_bad_inputs_exit_2(tmp_path, pair, capsys):
     capsys.readouterr()
 
 
+def test_overflowing_input_exits_2(tmp_path, pair, capsys):
+    """Finite entries whose symmetrization overflows are refused as non-finite."""
+    _, pb, _, _ = pair
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"dim": 2, "re": [[1e308, 0.0], [0.0, 1.0]]}))
+    for argv in (["check", str(big), pb], ["chain", str(big), pb, "--m", "1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: matrix entries must be finite (no NaN/inf)\n"
+        )
+
+
+def test_random_suite_seed_out_of_key_range_exits_2(capsys):
+    # 3 dims x 2 trials: trial k draws with keys 4 (seed + k) .. 4 (seed + k) + 3
+    top = 2**126 - 6
+    for seed in (-1, top + 1):
+        argv = ["random-suite", "--dims", "2..4", "--trials", "2", "--seed", str(seed)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --seed must be between 0 and {top} for 6 trials, got {seed}\n"
+        )
+    assert main(["random-suite", "--dims", "2..4", "--trials", "2", "--seed", str(top)]) == 0
+    capsys.readouterr()
+
+
 def test_argparse_failures_exit_2(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
@@ -207,28 +234,46 @@ def test_gt_violation_plumbing(pair, capsys, monkeypatch):
     assert not cert["checks"][0]["passed"]
 
 
-def test_one_pass_per_certificate(pair, capsys, monkeypatch):
-    """A check op decomposes each of A, B, exp A and exp B once and pinches
-    exp A once; a random-suite trial pinches its operand once."""
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of calls through pinchgt.spectral.eigh and pinchgt.pinching.pinch."""
     import pinchgt.pinching
     import pinchgt.spectral
 
-    calls = {"eigh": 0, "pinch": 0}
+    counts = {"eigh": 0, "pinch": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            counts[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(pinchgt.spectral, "eigh", counted("eigh", pinchgt.spectral.eigh))
     monkeypatch.setattr(pinchgt.pinching, "pinch", counted("pinch", pinchgt.pinching.pinch))
+    return counts
+
+
+def test_one_pass_per_certificate(pair, capsys, calls):
+    """A check op decomposes each of A, B, exp A and exp B once and pinches
+    exp A once; a random-suite trial pinches its operand once."""
     pa, pb, _, _ = pair
     assert main(["check", pa, pb]) == 0
     assert calls == {"eigh": 4, "pinch": 1}
     calls.update(eigh=0, pinch=0)
     assert main(["random-suite", "--dims", "3", "--trials", "1"]) == 0
     assert calls["pinch"] == 1
+    capsys.readouterr()
+
+
+def test_one_decomposition_per_chain_study(pair, capsys, calls):
+    """A chain run decomposes A and B once, then B^m, A^m and the pinched
+    A^m once per full-tier power."""
+    pa, pb, _, _ = pair
+    assert main(["chain", pa, pb, "--m", "1,2,3"]) == 0
+    assert calls["eigh"] == 2 + 3 * 3
+    calls.update(eigh=0)
+    assert main(["chain", pa, pb, "--m", "1,2,3,4,5,6"]) == 0
+    assert calls["eigh"] == 2 + 3 * 6
     capsys.readouterr()
 
 

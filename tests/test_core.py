@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -149,3 +152,79 @@ def test_policy_validation():
         NumericPolicy(psd_tol=-1e-9)
     d = NumericPolicy().as_dict()
     assert set(d) == {"herm_tol", "cluster_tol", "psd_tol", "residual_tol"}
+
+
+def test_overflowing_symmetrization_is_not_finite():
+    # each entry is finite, but 1e308 + 1e308 overflows to inf
+    raw = np.array([[1e308, 0.0], [0.0, 1.0]])
+    with pytest.raises(NotFinite):
+        HermitianMatrix(raw)
+    with pytest.raises(NotFinite):
+        construct_hermitian(raw)
+
+
+def test_symmetrized_output_is_exactly_hermitian():
+    raw = np.array(
+        [
+            [1.0 + 2.0j, complex(-0.0, -0.0), 3.0 - 1.0j],
+            [complex(0.0, -0.0), complex(-2.0, -0.0), 0.5 + 0.25j],
+            [3.0 + 1.0j, 0.5 - 0.25j, complex(-0.0, 7.0)],
+        ]
+    )
+    before = raw.copy()
+    mat = HermitianMatrix(raw).mat
+    npt.assert_array_equal(raw, before)  # the input is not written
+    assert (mat == mat.conj().T).all()
+    diag = np.diagonal(mat)
+    npt.assert_array_equal(diag.real, [1.0, -2.0, 0.0])
+    assert (diag.imag == 0.0).all() and not np.signbit(diag.imag).any()
+
+
+def _fresh_draw(dim, seed, floor):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    gram = g @ g.conj().T
+    return HermitianMatrix(gram + floor * np.eye(dim) if floor else gram)
+
+
+def test_random_draws_match_a_fresh_philox_generator():
+    for seed in (0, 7, 2**64 - 1, 2**64 + 5, 2**128 - 1):
+        npt.assert_array_equal(random_pd(3, seed).mat, _fresh_draw(3, seed, 1.0).mat)
+        npt.assert_array_equal(random_psd(3, seed).mat, _fresh_draw(3, seed, 0.0).mat)
+
+
+def test_random_seed_out_of_key_range_raises_value_error():
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError):
+            random_pd(2, seed)
+        with pytest.raises(ValueError):
+            random_hermitian(2, seed)
+
+
+def test_threads_draw_independently():
+    """Threads drawing interleaved each get a fresh generator's matrices."""
+    seeds = list(range(40))
+    expected = {s: (_fresh_draw(4, s, 1.0).mat, _fresh_draw(4, s, 0.0).mat) for s in seeds}
+    mismatches = []
+
+    def worker(offset):
+        for s in seeds[offset:] + seeds[:offset]:
+            for _ in range(5):
+                if not (
+                    np.array_equal(random_pd(4, s).mat, expected[s][0])
+                    and np.array_equal(random_psd(4, s).mat, expected[s][1])
+                ):
+                    mismatches.append(s)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k * 10,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []

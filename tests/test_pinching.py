@@ -172,6 +172,14 @@ def test_mixture_route_agrees():
         assert residual <= MIXTURE_TOL * op.n * (1.0 + np.linalg.norm(x.mat))
 
 
+def test_mixture_route_agrees_at_large_n():
+    op = pinch_operator(random_pd(64, 21))
+    assert op.n == 64
+    x = random_psd(64, 22)
+    residual = np.linalg.norm(pinch(op, x).mat - pinch_via_mixture(op, x).mat)
+    assert residual <= MIXTURE_TOL * op.n * (1.0 + np.linalg.norm(x.mat))
+
+
 def test_mixture_with_degeneracy():
     u = random_unitary(5, 3)
     base = construct_hermitian(u @ np.diag([2.0, 2.0, 2.0, 7.0, 9.0]) @ u.conj().T)

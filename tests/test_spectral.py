@@ -56,6 +56,27 @@ def test_decompose_merges_degenerate_eigenvalues():
     npt.assert_allclose(dec.eigenvalues, [1.0, 4.0], atol=1e-10)
 
 
+def test_cluster_representatives_are_member_means():
+    """Each representative is bitwise the mean of its cluster's raw eigenvalues,
+    for singleton clusters and clusters of 2, 8 and 20 members."""
+    values = np.concatenate(
+        [
+            [-5.0, 0.0],
+            1.0 + 1e-12 * np.arange(2),
+            3.0 + 1e-11 * np.arange(8),
+            [5.0],
+            10.0 + 1e-11 * np.arange(20),
+        ]
+    )
+    a = rotated_diag(values, seed=4)
+    dec = decompose(a)
+    assert list(dec.multiplicities) == [1, 1, 2, 8, 1, 20]
+    w, _ = eigh(a)
+    edges = np.concatenate(([0], np.cumsum(dec.multiplicities)))
+    expected = np.array([w[lo:hi].mean() for lo, hi in zip(edges[:-1], edges[1:])])
+    assert dec.eigenvalues.tobytes() == expected.tobytes()
+
+
 def test_decompose_merges_near_degenerate():
     # split below cluster_tol * radius collapses to one cluster at its mean
     a = construct_hermitian(np.diag([1.0, 1.0 + 1e-12, 5.0]))

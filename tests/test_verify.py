@@ -198,6 +198,14 @@ def test_convergence_study():
     assert all(ct.s0 == pytest.approx(rows[0].s0) for ct in rows)
 
 
+def test_convergence_study_rows_equal_chain_trace():
+    a = random_pd(3, 11)
+    b = random_pd(3, 12)
+    rows = convergence_study(a, b, [1, 2, 3, 5], cap=27)
+    assert rows == [chain_trace(a, b, m, cap=27) for m in [1, 2, 3, 5]]
+    assert [ct.full_matrix_tier for ct in rows] == [True, True, True, False]
+
+
 def test_convergence_study_validation():
     a = random_pd(2, 0)
     with pytest.raises(ValueError):
