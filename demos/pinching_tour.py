@@ -8,13 +8,12 @@ with `python3 demos/pinching_tour.py`.
 import numpy as np
 
 from pinchgt import (
-    loewner_leq,
     pinch,
     pinch_operator,
     pinch_via_mixture,
+    pinching_checks,
     random_hermitian,
     random_pd,
-    scale,
 )
 
 np.set_printoptions(precision=4, suppress=True)
@@ -45,10 +44,13 @@ after = np.trace(px.mat @ a).real
 print(f"tr[X A] = {before:.10f}, tr[P[X] A] = {after:.10f}  (preserved)")
 
 # property 3: for PSD operands, P[X] dominates X divided by the number of
-# distinct eigenvalues; demonstrated on X X^T which is always PSD
+# distinct eigenvalues; the certified check reports minus the smallest
+# eigenvalue of P[Y] - Y/n against the positivity slack, on a PD operand Y
 psd = random_pd(4, seed=23)
-dominated = loewner_leq(scale(1.0 / op.n, psd), pinch(op, psd))
-print(f"P[Y] >= Y/{op.n} in the Loewner order: {dominated}")
+checks = {c.name: c for c in pinching_checks(op, psd)}
+dominance = checks["pinch_dominates_scaled_operand"]
+print(f"P[Y] >= Y/{op.n} in the Loewner order: {dominance.passed} "
+      f"(residual {dominance.residual:.3e}, tolerance {dominance.tolerance:.1e})")
 
 # the mixture route: P[X] is the average of the n conjugations by the
 # dephasing unitaries U_y = sum_u exp(2 pi i y u / n) P_u, y = 1..n

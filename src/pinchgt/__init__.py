@@ -3,10 +3,8 @@ Golden-Thompson trace inequality tr exp(A+B) <= tr(exp A exp B)."""
 
 from .core import (
     HermitianMatrix,
-    as_array,
     construct_hermitian,
     identity,
-    loewner_leq,
     random_hermitian,
     random_pd,
     random_psd,
@@ -14,7 +12,6 @@ from .core import (
     scale,
 )
 from .errors import (
-    BadPartition,
     ConvergenceFailure,
     DimensionMismatch,
     DomainError,
@@ -29,10 +26,9 @@ from .errors import (
     SizeOverflow,
 )
 from .functions import apply_to_decomposition, herm_exp, herm_log
-from .matrixio import load_matrix, matrix_digest, parse_matrix, serialize_matrix, write_matrix
+from .matrixio import load_matrix, matrix_digest, write_matrix
 from .pinching import (
     PinchOperator,
-    block_diagonal_part,
     pinch,
     pinch_operator,
     pinch_via_mixture,
@@ -44,7 +40,6 @@ from .spectral import (
     decompose,
     eigh,
     eigvals,
-    is_positive_definite,
     require_positive_definite,
 )
 from .tensor import (
@@ -52,7 +47,6 @@ from .tensor import (
     SpectrumCount,
     binomial_bound,
     count_distinct_spectrum,
-    kron,
     tensor_power,
 )
 from .verify import (
@@ -79,10 +73,8 @@ __all__ = [
     "ChainTrace",
     "DIM_CAP",
     "construct_hermitian",
-    "as_array",
     "identity",
     "scale",
-    "loewner_leq",
     "random_hermitian",
     "random_pd",
     "random_psd",
@@ -90,17 +82,14 @@ __all__ = [
     "eigh",
     "eigvals",
     "decompose",
-    "is_positive_definite",
     "require_positive_definite",
     "apply_to_decomposition",
     "herm_exp",
     "herm_log",
     "pinch_operator",
-    "block_diagonal_part",
     "pinch",
     "pinch_via_mixture",
     "pinching_checks",
-    "kron",
     "tensor_power",
     "binomial_bound",
     "count_distinct_spectrum",
@@ -110,8 +99,6 @@ __all__ = [
     "convergence_study",
     "finite_power_certificate",
     "load_matrix",
-    "parse_matrix",
-    "serialize_matrix",
     "write_matrix",
     "matrix_digest",
     "PinchError",
@@ -123,7 +110,6 @@ __all__ = [
     "DomainError",
     "NotPositiveDefinite",
     "NotPSD",
-    "BadPartition",
     "SizeOverflow",
     "MatrixFileError",
     "NonRealTrace",

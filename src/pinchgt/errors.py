@@ -37,10 +37,6 @@ class NotPSD(PinchError):
     """Operand must be positive semidefinite for this operation."""
 
 
-class BadPartition(PinchError):
-    """Block sizes do not partition the matrix dimension."""
-
-
 class SizeOverflow(PinchError):
     """Requested object exceeds the configured dimension cap."""
 

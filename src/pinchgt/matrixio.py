@@ -21,8 +21,6 @@ from .policy import DEFAULT_POLICY, NumericPolicy
 
 __all__ = [
     "load_matrix",
-    "parse_matrix",
-    "serialize_matrix",
     "write_matrix",
     "matrix_digest",
 ]

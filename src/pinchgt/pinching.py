@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HermitianMatrix, as_array
-from .errors import BadPartition, DimensionMismatch, NotPSD
+from .core import HermitianMatrix
+from .errors import DimensionMismatch, NotPSD
 from .policy import (
     COMMUTATION_TOL,
     DEFAULT_POLICY,
@@ -32,7 +32,6 @@ from .spectral import SpectralDecomposition, decompose, eigvals
 __all__ = [
     "PinchOperator",
     "pinch_operator",
-    "block_diagonal_part",
     "pinch",
     "pinch_via_mixture",
     "pinching_checks",
@@ -60,29 +59,6 @@ def pinch_operator(a: HermitianMatrix, policy: NumericPolicy = DEFAULT_POLICY) -
     return PinchOperator(decompose(a, policy))
 
 
-def block_diagonal_part(m, partition) -> np.ndarray:
-    """Zero every off-diagonal block of a square matrix.
-
-    `partition` lists the diagonal block sizes in order; they must be
-    positive and sum to the dimension. The discarded part is recoverable
-    as ``m - block_diagonal_part(m, partition)``.
-    """
-    arr = as_array(m)
-    sizes = [int(s) for s in partition]
-    if any(s <= 0 for s in sizes):
-        raise BadPartition(f"block sizes must be positive, got {sizes}")
-    if sum(sizes) != arr.shape[0]:
-        raise BadPartition(
-            f"block sizes {sizes} sum to {sum(sizes)}, expected {arr.shape[0]}"
-        )
-    out = np.zeros_like(arr)
-    start = 0
-    for s in sizes:
-        out[start : start + s, start : start + s] = arr[start : start + s, start : start + s]
-        start += s
-    return out
-
-
 def _require_dim(op: PinchOperator, x: HermitianMatrix):
     if x.dim != op.dim:
         raise DimensionMismatch(f"operand dim {x.dim} != operator dim {op.dim}")
@@ -98,7 +74,13 @@ def pinch(op: PinchOperator, x: HermitianMatrix) -> HermitianMatrix:
     _require_dim(op, x)
     v = op.base.vectors
     in_basis = v.conj().T @ x.mat @ v
-    pinched = block_diagonal_part(in_basis, op.base.multiplicities)
+    # the multiplicities are positive and sum to the dimension by construction
+    pinched = np.zeros_like(in_basis)
+    start = 0
+    for size in op.base.multiplicities:
+        block = slice(start, start + size)
+        pinched[block, block] = in_basis[block, block]
+        start += size
     return HermitianMatrix(v @ pinched @ v.conj().T)
 
 
@@ -136,8 +118,7 @@ def pinching_checks(
     """
     _require_dim(op, x)
     w = eigvals(x)
-    spectral_scale = max(1.0, abs(float(w[0])), abs(float(w[-1])))
-    if float(w[0]) < -policy.psd_tol * spectral_scale:
+    if float(w[0]) < -policy.psd_floor(w[0], w[-1]):
         raise NotPSD(
             f"operand must be PSD for the lower bound; min eigenvalue {float(w[0]):.6e}"
         )
@@ -147,12 +128,11 @@ def pinching_checks(
     commutation = float(np.linalg.norm(px @ a - a @ px))
     trace = float(abs(np.trace(px @ a) - np.trace(x.mat @ a)))
     dw = eigvals(px - (1.0 / op.n) * x.mat)
-    radius = max(1.0, abs(float(dw[0])), abs(float(dw[-1])))
     mixture = float(np.linalg.norm(px - pinch_via_mixture(op, x).mat))
     return (
         Check("pinch_commutes_with_base", commutation, COMMUTATION_TOL * bilinear),
         Check("pinch_preserves_weighted_trace", trace, TRACE_TOL * bilinear),
-        Check("pinch_dominates_scaled_operand", -float(dw[0]), policy.psd_tol * radius),
+        Check("pinch_dominates_scaled_operand", -float(dw[0]), policy.psd_floor(dw[0], dw[-1])),
         Check(
             "pinch_equals_dephasing_mixture",
             mixture,

@@ -67,7 +67,8 @@ class NumericPolicy:
         same distinct eigenvalue.
     psd_tol
         Relative slack when accepting a matrix as positive semidefinite,
-        measured against the spectral scale of the matrix being judged.
+        measured against the spectral scale of the matrix being judged;
+        see :meth:`psd_floor`.
     residual_tol
         Bound on eigendecomposition residuals and on projector identities.
     """
@@ -82,6 +83,10 @@ class NumericPolicy:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and value > 0):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
+
+    def psd_floor(self, lo: float, hi: float) -> float:
+        """Positivity slack of a spectrum spanning [lo, hi]: psd_tol * max(1, |lo|, |hi|)."""
+        return self.psd_tol * max(1.0, abs(float(lo)), abs(float(hi)))
 
     def as_dict(self) -> dict:
         return {

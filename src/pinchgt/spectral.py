@@ -21,7 +21,7 @@ __all__ = [
     "eigh",
     "eigvals",
     "decompose",
-    "is_positive_definite",
+    "require_positive_definite",
 ]
 
 
@@ -91,9 +91,6 @@ class SpectralDecomposition:
         """Number of distinct eigenvalues."""
         return len(self.eigenvalues)
 
-    def spectral_radius(self) -> float:
-        return max(abs(float(self.eigenvalues[0])), abs(float(self.eigenvalues[-1])))
-
     def column_weights(self, values) -> np.ndarray:
         """Expand one value per distinct eigenvalue to one per basis column."""
         return np.repeat(np.asarray(values, dtype=np.float64), self.multiplicities)
@@ -132,21 +129,15 @@ def decompose(
     )
 
 
-def is_positive_definite(
-    dec: SpectralDecomposition, policy: NumericPolicy = DEFAULT_POLICY
-) -> bool:
-    """PD judged on clustered eigenvalues: all above psd_tol * spectral scale."""
-    floor = policy.psd_tol * max(1.0, dec.spectral_radius())
-    return bool(np.all(dec.eigenvalues > floor))
-
-
 def require_positive_definite(
     dec: SpectralDecomposition, policy: NumericPolicy = DEFAULT_POLICY, what: str = "matrix"
 ) -> None:
-    if not is_positive_definite(dec, policy):
-        floor = policy.psd_tol * max(1.0, dec.spectral_radius())
+    """Raise NotPositiveDefinite unless every clustered eigenvalue clears psd_floor."""
+    lo, hi = dec.eigenvalues[0], dec.eigenvalues[-1]
+    floor = policy.psd_floor(lo, hi)
+    if not lo > floor:
         raise NotPositiveDefinite(
             f"{what} is not positive definite: smallest clustered eigenvalue "
-            f"{float(dec.eigenvalues[0]):.6e} does not clear the resolvable "
+            f"{float(lo):.6e} does not clear the resolvable "
             f"floor {floor:.6e}"
         )

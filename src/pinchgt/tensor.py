@@ -1,4 +1,4 @@
-"""Kronecker products, tensor powers, and spectrum counting for powers.
+"""Tensor powers and spectrum counting for powers.
 
 The m-fold tensor power of a d x d matrix has dimension d^m but only
 polynomially many *distinct* eigenvalues: every eigenvalue is an m-fold
@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .core import HermitianMatrix, as_array
+from .core import HermitianMatrix
 from .errors import SizeOverflow
 from .policy import DEFAULT_POLICY, NumericPolicy
 from .spectral import SpectralDecomposition, require_positive_definite
@@ -22,7 +22,6 @@ from .spectral import SpectralDecomposition, require_positive_definite
 __all__ = [
     "DIM_CAP",
     "SpectrumCount",
-    "kron",
     "tensor_power",
     "binomial_bound",
     "count_distinct_spectrum",
@@ -35,31 +34,16 @@ DIM_CAP = 4096
 _ENUMERATION_CAP = 2_000_000
 
 
-def kron(a, b, cap: int = DIM_CAP):
-    """Kronecker product; Hermitian inputs give a HermitianMatrix back.
-
-    Raises SizeOverflow when the product dimension would exceed `cap`.
-    """
-    am, bm = as_array(a), as_array(b)
-    out_dim = am.shape[0] * bm.shape[0]
-    if out_dim > cap:
-        raise SizeOverflow(f"Kronecker product dimension {out_dim} exceeds cap {cap}")
-    out = np.kron(am, bm)
-    if isinstance(a, HermitianMatrix) and isinstance(b, HermitianMatrix):
-        return HermitianMatrix(out)
-    return out
-
-
 def tensor_power(a: HermitianMatrix, m: int, cap: int = DIM_CAP) -> HermitianMatrix:
     """m-fold Kronecker power of a Hermitian matrix."""
     if m < 1:
         raise ValueError(f"power must be a positive integer, got {m}")
     if a.dim**m > cap:
         raise SizeOverflow(f"tensor power dimension {a.dim}**{m} exceeds cap {cap}")
-    out = a
+    out = a.mat
     for _ in range(m - 1):
-        out = kron(out, a, cap=cap)
-    return out
+        out = np.kron(out, a.mat)
+    return HermitianMatrix(out)
 
 
 def binomial_bound(m: int, n_distinct: int) -> tuple[int, float]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import HermitianMatrix
-from .errors import DimensionMismatch, NonRealTrace, SizeOverflow
+from .errors import DimensionMismatch, NonRealTrace
 from .functions import apply_to_decomposition, herm_exp, herm_log
 from .pinching import PinchOperator, pinch
 from .policy import (
@@ -177,17 +177,15 @@ def chain_trace(
     m: int,
     policy: NumericPolicy = DEFAULT_POLICY,
     cap: int = DIM_CAP,
-    force_full: bool = False,
 ) -> ChainTrace:
     """Evaluate every step of the pinching chain at tensor power m.
 
     `s0` and `target` are always computed. The tensorized and pinched
     middle terms materialize d^m-dimensional operators and are only
-    evaluated while d^m <= cap; `force_full=True` turns the skip into a
-    SizeOverflow error instead. The spectrum-count bound is combinatorial
+    evaluated while d^m <= cap. The spectrum-count bound is combinatorial
     and has no cap.
     """
-    return _chain_rows(a, b, [m], policy, cap, force_full)[0]
+    return _chain_rows(a, b, [m], policy, cap)[0]
 
 
 def _chain_rows(
@@ -196,7 +194,6 @@ def _chain_rows(
     ms: list[int],
     policy: NumericPolicy,
     cap: int,
-    force_full: bool,
 ) -> list[ChainTrace]:
     """Chain rows at the powers ms, with A and B decomposed once and the
     power-independent s0 and target computed once."""
@@ -208,10 +205,6 @@ def _chain_rows(
     for m in ms:
         spectrum = count_distinct_spectrum(dec_a, m, policy)
         full_tier = a.dim**m <= cap
-        if not full_tier and force_full:
-            raise SizeOverflow(
-                f"full tier forced but dimension {a.dim}**{m} exceeds cap {cap}"
-            )
         s0_tensorized, t_pinched = (
             _full_tier_terms(a, b, m, policy, cap) if full_tier else (None, None)
         )
@@ -288,7 +281,7 @@ def convergence_study(
         raise ValueError("m_list must be non-empty")
     if any(m2 <= m1 for m1, m2 in zip(ms, ms[1:])):
         raise ValueError(f"m_list must be strictly ascending, got {ms}")
-    return _chain_rows(a, b, ms, policy, cap, False)
+    return _chain_rows(a, b, ms, policy, cap)
 
 
 def finite_power_certificate(

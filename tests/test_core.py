@@ -14,7 +14,6 @@ from pinchgt import (
     NumericPolicy,
     construct_hermitian,
     identity,
-    loewner_leq,
     random_hermitian,
     random_pd,
     random_psd,
@@ -103,22 +102,6 @@ def test_identity():
     npt.assert_allclose(identity(4).mat, np.eye(4))
 
 
-def test_loewner_order():
-    a = identity(3)
-    b = scale(2.0, identity(3))
-    assert loewner_leq(a, b)
-    assert not loewner_leq(b, a)
-    # equality holds in both directions up to the slack
-    assert loewner_leq(a, a)
-
-
-def test_loewner_indefinite_difference():
-    a = construct_hermitian(np.diag([1.0, 3.0]))
-    b = construct_hermitian(np.diag([2.0, 2.0]))
-    assert not loewner_leq(a, b)
-    assert not loewner_leq(b, a)
-
-
 def test_random_generators_are_deterministic():
     a1 = random_hermitian(4, 42)
     a2 = random_hermitian(4, 42)
@@ -154,13 +137,29 @@ def test_policy_validation():
     assert set(d) == {"herm_tol", "cluster_tol", "psd_tol", "residual_tol"}
 
 
+def test_psd_floor_scales_with_the_larger_spectral_end():
+    policy = NumericPolicy(psd_tol=1e-6)
+    assert policy.psd_floor(0.25, 0.5) == 1e-6  # never below psd_tol itself
+    assert policy.psd_floor(-3.0, 2.0) == pytest.approx(3e-6)
+    assert policy.psd_floor(0.5, 40.0) == pytest.approx(4e-5)
+
+
 def test_overflowing_symmetrization_is_not_finite():
     # each entry is finite, but 1e308 + 1e308 overflows to inf
     raw = np.array([[1e308, 0.0], [0.0, 1.0]])
-    with pytest.raises(NotFinite):
+    # the trusted constructor lets numpy report the overflow
+    with pytest.warns(RuntimeWarning), pytest.raises(NotFinite):
         HermitianMatrix(raw)
     with pytest.raises(NotFinite):
         construct_hermitian(raw)
+
+
+def test_asymmetry_gate_holds_for_huge_entries():
+    # unscaled, both Frobenius norms overflow to inf and inf > inf is false
+    with pytest.raises(NotHermitian):
+        construct_hermitian([[1e200, 1e200], [0.0, 1.0]])
+    a = construct_hermitian([[1e200, 1e200], [1e200, 1.0]])
+    assert a.mat[0, 1] == 1e200
 
 
 def test_symmetrized_output_is_exactly_hermitian():

@@ -3,10 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from pinchgt import (
-    BadPartition,
     DimensionMismatch,
     NotPSD,
-    block_diagonal_part,
     construct_hermitian,
     pinch,
     pinch_operator,
@@ -103,25 +101,6 @@ def test_pinch_dimension_mismatch():
     op = pinch_operator(random_pd(3, 0))
     with pytest.raises(DimensionMismatch):
         pinch(op, random_hermitian(4, 0))
-
-
-def test_block_diagonal_part():
-    m = np.arange(16, dtype=float).reshape(4, 4)
-    out = block_diagonal_part(m, [2, 2])
-    expect = np.zeros((4, 4))
-    expect[:2, :2] = m[:2, :2]
-    expect[2:, 2:] = m[2:, 2:]
-    npt.assert_array_equal(out, expect)
-
-
-def test_block_diagonal_bad_partition():
-    m = np.eye(4)
-    with pytest.raises(BadPartition):
-        block_diagonal_part(m, [2, 3])
-    with pytest.raises(BadPartition):
-        block_diagonal_part(m, [4, 0])
-    with pytest.raises(BadPartition):
-        block_diagonal_part(m, [])
 
 
 def test_property_commutation():

@@ -9,7 +9,6 @@ from pinchgt import (
     decompose,
     eigh,
     eigvals,
-    is_positive_definite,
     random_hermitian,
     random_pd,
     random_unitary,
@@ -127,24 +126,19 @@ def test_projector_reconstruction():
         npt.assert_allclose(acc, random_hermitian(5, seed + 50).mat, atol=1e-10)
 
 
-def test_spectral_radius():
-    a = construct_hermitian(np.diag([-7.0, 1.0, 3.0]))
-    assert decompose(a).spectral_radius() == pytest.approx(7.0)
-
-
 def test_distinct_count():
     assert decompose(rotated_diag([2.0, 2.0, 2.0], 1)).n == 1
     assert decompose(rotated_diag([1.0, 2.0, 3.0], 2)).n == 3
 
 
 def test_positive_definite_predicate():
-    assert is_positive_definite(decompose(random_pd(4, 0)))
+    require_positive_definite(decompose(random_pd(4, 0)))
     ind = decompose(construct_hermitian(np.diag([1.0, -0.5])))
-    assert not is_positive_definite(ind)
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NotPositiveDefinite, match="test operand"):
         require_positive_definite(ind, what="test operand")
     sing = decompose(construct_hermitian(np.diag([0.0, 1.0])))
-    assert not is_positive_definite(sing)
+    with pytest.raises(NotPositiveDefinite):
+        require_positive_definite(sing)
 
 
 def test_column_weights_expand_multiplicities():

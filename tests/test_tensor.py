@@ -12,7 +12,6 @@ from pinchgt import (
     construct_hermitian,
     count_distinct_spectrum,
     decompose,
-    kron,
     random_hermitian,
     random_pd,
     random_unitary,
@@ -20,28 +19,12 @@ from pinchgt import (
 )
 
 
-def test_kron_matches_numpy():
-    for seed in range(8):
-        a = random_hermitian(3, seed)
-        b = random_hermitian(4, seed + 40)
-        npt.assert_array_equal(kron(a, b).mat, np.kron(a.mat, b.mat))
-
-
-def test_kron_type_preservation():
-    a = random_hermitian(2, 0)
-    assert isinstance(kron(a, a), HermitianMatrix)
-    raw = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert isinstance(kron(a, raw), np.ndarray)
-    npt.assert_array_equal(kron(a, raw), np.kron(a.mat, raw))
-
-
-def test_kron_size_cap():
-    a = random_hermitian(64, 1)
-    kron(a, random_hermitian(64, 2))  # 4096 is exactly the default cap
+def test_tensor_power_size_cap_boundary():
+    a = random_hermitian(2, 1)
+    power = tensor_power(a, 3, cap=8)  # 2**3 is exactly the cap
+    assert isinstance(power, HermitianMatrix) and power.dim == 8
     with pytest.raises(SizeOverflow):
-        kron(a, random_hermitian(65, 3))
-    with pytest.raises(SizeOverflow):
-        kron(a, a, cap=1000)
+        tensor_power(a, 4, cap=8)
 
 
 def test_tensor_power():

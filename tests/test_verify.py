@@ -7,7 +7,6 @@ import pytest
 from pinchgt import (
     DimensionMismatch,
     NotPositiveDefinite,
-    SizeOverflow,
     binomial_bound,
     chain_checks,
     chain_trace,
@@ -154,8 +153,6 @@ def test_chain_cap_controls_full_tier():
     assert skipped.bound == pytest.approx(
         skipped.target + math.log(skipped.spectrum_count) / 3.0
     )
-    with pytest.raises(SizeOverflow):
-        chain_trace(a, b, 3, cap=4, force_full=True)
 
 
 def test_chain_rejects_bad_inputs():
