@@ -7,7 +7,8 @@ Three subcommands:
 * ``chain A.json B.json --m 1,2,3``: per-power CSV trace of the proof
   chain for a positive definite pair, with invariant checks.
 * ``random-suite --dims 2..6 --trials 20 --seed 7``: seeded randomized
-  sweep, byte-identical output for identical flags.
+  sweep, byte-identical output for identical flags. Each dimension's
+  trials run as stacked operands, a few library calls per stack.
 
 Exit codes: 0 when everything passed, 1 when a verified inequality or
 identity was violated, 2 for unusable input (bad file, non-Hermitian
@@ -17,6 +18,8 @@ matrix, bad flag values).
 import argparse
 import json
 import sys
+
+import numpy as np
 
 from .core import random_hermitian, random_pd, random_psd
 from .errors import PinchError
@@ -28,6 +31,10 @@ from .tensor import DIM_CAP
 from .verify import chain_checks, convergence_study, finite_power_certificate, gt_check
 
 __all__ = ["main"]
+
+# matrix entries in one random-suite operand stack; a dimension's trials run
+# in as many stacks as this allows, so peak memory does not grow with --trials
+SUITE_STACK_ENTRIES = 1 << 16
 
 
 def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
@@ -176,6 +183,23 @@ def cmd_chain(args: argparse.Namespace) -> int:
     return 1 if violations else 0
 
 
+def _suite_violations(dim: int, trial_seeds: range, policy: NumericPolicy) -> int:
+    """Violated trials among `trial_seeds`, all run as one stack per operand.
+
+    Trial s draws A, B, the reference and the operand with the keys
+    4s .. 4s + 3. It is violated when its golden_thompson_gap check or any
+    of its pinching checks fails.
+    """
+    a = random_hermitian(dim, [4 * s for s in trial_seeds])
+    b = random_hermitian(dim, [4 * s + 1 for s in trial_seeds])
+    ok = gt_check(a, b, policy).holds
+    base = random_pd(dim, [4 * s + 2 for s in trial_seeds])
+    x = random_psd(dim, [4 * s + 3 for s in trial_seeds])
+    for c in pinching_checks(pinch_operator(base, policy), x, policy):
+        ok = ok & c.passed
+    return int(np.count_nonzero(~ok))
+
+
 def cmd_random_suite(args: argparse.Namespace) -> int:
     policy = _policy_from(args)
     if args.trials < 1:
@@ -190,24 +214,17 @@ def cmd_random_suite(args: argparse.Namespace) -> int:
             f"--seed must be between 0 and {max_seed} for {n_trials} trials, got {args.seed}"
         )
 
-    idx = 0
     total = 0
     out_lines = []
-    for dim in dims:
-        dim_violations = 0
-        for _ in range(args.trials):
-            trial_seed = args.seed + idx
-            idx += 1
-            # four independent draws per trial, keyed off the trial seed
-            a = random_hermitian(dim, 4 * trial_seed)
-            b = random_hermitian(dim, 4 * trial_seed + 1)
-            ok = gt_check(a, b, policy).holds
-            base = random_pd(dim, 4 * trial_seed + 2)
-            x = random_psd(dim, 4 * trial_seed + 3)
-            op = pinch_operator(base, policy)
-            ok = ok and all(c.passed for c in pinching_checks(op, x, policy))
-            if not ok:
-                dim_violations += 1
+    for i, dim in enumerate(dims):
+        seeds = range(args.seed + i * args.trials, args.seed + (i + 1) * args.trials)
+        # trials per stack, so that one operand stack holds at most
+        # SUITE_STACK_ENTRIES matrix entries whatever --trials is
+        per_stack = max(1, SUITE_STACK_ENTRIES // (dim * dim))
+        dim_violations = sum(
+            _suite_violations(dim, seeds[lo : lo + per_stack], policy)
+            for lo in range(0, args.trials, per_stack)
+        )
         total += dim_violations
         out_lines.append(f"dim {dim}: {args.trials} trials, {dim_violations} violations")
     out_lines.append(f"total: {n_trials} trials, {total} violations")

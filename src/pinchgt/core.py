@@ -1,8 +1,11 @@
-"""Dense complex Hermitian matrices.
+"""Dense complex Hermitian matrices, single or stacked.
 
 Construction gate, basic algebra, and seeded random test instances.
 Everything here is immutable after construction, so any operation may run
-concurrently on shared inputs.
+concurrently on shared inputs. A ``HermitianMatrix`` holds one ``d x d``
+matrix or a stack ``(..., d, d)`` of them (see ``policy.py`` for the
+convention); the seeded generators return a stack when given a sequence of
+seeds, one matrix per seed, each bit-identical to its single-seed draw.
 
 The seeded generators draw from one Philox generator per thread, held in a
 ``threading.local`` and re-keyed on every call: counter 0, key ``seed``
@@ -19,7 +22,7 @@ import threading
 import numpy as np
 
 from .errors import DimensionMismatch, NotFinite, NotHermitian, NotSquare
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY, NumericPolicy, batch_result, frobenius
 
 __all__ = [
     "HermitianMatrix",
@@ -41,10 +44,10 @@ def as_array(x) -> np.ndarray:
 
 
 class HermitianMatrix:
-    """Immutable d x d complex matrix with exact Hermitian symmetry.
+    """Immutable d x d complex matrix, or stack of them, with exact Hermitian symmetry.
 
-    Entries satisfy ``mat[i, j] == conj(mat[j, i])`` exactly and the
-    diagonal is exactly real (imaginary part +0.0): the constructor
+    Entries satisfy ``mat[..., i, j] == conj(mat[..., j, i])`` exactly and
+    the diagonal is exactly real (imaginary part +0.0): the constructor
     symmetrizes unconditionally.
     It trusts its input to be Hermitian up to roundoff; untrusted input
     must go through :func:`construct_hermitian`, which enforces the
@@ -55,11 +58,11 @@ class HermitianMatrix:
 
     def __init__(self, mat):
         arr = np.asarray(mat, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise NotSquare(f"expected a square matrix, got shape {arr.shape}")
+        if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+            raise NotSquare(f"expected a square matrix or a stack of them, got shape {arr.shape}")
         # a new array, so the caller's input is never aliased; for finite
         # input the diagonal's imaginary part is b + (-b) = +0.0 exactly
-        sym = 0.5 * (arr + arr.conj().T)
+        sym = 0.5 * (arr + arr.conj().swapaxes(-1, -2))
         # checked after the sum, which overflows for entries above ~8.99e307
         if not np.isfinite(sym).all():
             raise NotFinite("matrix entries must be finite (no NaN/inf)")
@@ -73,7 +76,12 @@ class HermitianMatrix:
 
     @property
     def dim(self) -> int:
-        return self._mat.shape[0]
+        return self._mat.shape[-1]
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        """Leading stack axes; () for a single matrix."""
+        return self._mat.shape[:-2]
 
     def __array__(self, dtype=None, copy=None):
         if dtype is None:
@@ -100,7 +108,7 @@ class HermitianMatrix:
     def __matmul__(self, other):
         # product of two Hermitian matrices is general; return a plain array
         other = as_array(other)
-        if other.shape[0] != self.dim:
+        if other.shape[-2 if other.ndim > 1 else 0] != self.dim:
             raise DimensionMismatch(
                 f"cannot multiply shapes {self._mat.shape} and {other.shape}"
             )
@@ -109,14 +117,15 @@ class HermitianMatrix:
     def __rmatmul__(self, other):
         return as_array(other) @ self._mat
 
-    def trace(self) -> float:
-        return float(np.trace(self._mat).real)
+    def trace(self):
+        return batch_result(np.trace(self._mat, axis1=-2, axis2=-1).real)
 
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self._mat))
+    def frobenius(self):
+        return frobenius(self._mat)
 
     def __repr__(self):
-        return f"HermitianMatrix(dim={self.dim})"
+        batch = f", batch_shape={self.batch_shape}" if self.batch_shape else ""
+        return f"HermitianMatrix(dim={self.dim}{batch})"
 
 
 def _require_same_dim(a: HermitianMatrix, b: HermitianMatrix):
@@ -194,43 +203,62 @@ def _generator(seed: int) -> np.random.Generator:
     return rng
 
 
-def random_pd(dim: int, seed: int, floor: float = 1.0) -> HermitianMatrix:
-    """Seeded random positive definite matrix G G† + floor I.
+def _complex_normal(dim: int, seed) -> np.ndarray:
+    """G + iH with independent standard normal G, H: one dim x dim draw per seed.
 
-    Deterministic function of (dim, seed, floor); the smallest eigenvalue
-    is at least `floor`.
+    An int seed gives one matrix; a sequence of seeds gives the stack of
+    their draws, each bit-identical to the draw of that seed alone. Each
+    seed's generator fills G, then H.
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
+    single = np.ndim(seed) == 0
+    seeds = [seed] if single else seed
+    draws = np.empty((len(seeds), 2, dim, dim))
+    for out, s in zip(draws, seeds):
+        _generator(s).standard_normal(out=out)
+    g = draws[:, 0] + 1j * draws[:, 1]
+    return g[0] if single else g
+
+
+def _gram(g: np.ndarray) -> np.ndarray:
+    """G G† for a matrix or each matrix of a stack."""
+    return g @ g.conj().swapaxes(-1, -2)
+
+
+def random_pd(dim: int, seed, floor: float = 1.0) -> HermitianMatrix:
+    """Seeded random positive definite matrix G G† + floor I.
+
+    Deterministic function of (dim, seed, floor); the smallest eigenvalue
+    is at least `floor`. A sequence of seeds gives a stack.
+    """
+    g = _complex_normal(dim, seed)
     if not floor > 0:
         raise ValueError("floor must be strictly positive")
-    rng = _generator(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianMatrix(g @ g.conj().T + floor * np.eye(dim))
+    return HermitianMatrix(_gram(g) + floor * np.eye(dim))
 
 
-def random_hermitian(dim: int, seed: int) -> HermitianMatrix:
-    """Seeded random Hermitian matrix (M + M†)/2 with complex normal M."""
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    rng = _generator(seed)
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianMatrix(m)  # constructor symmetrizes
+def random_hermitian(dim: int, seed) -> HermitianMatrix:
+    """Seeded random Hermitian matrix (M + M†)/2 with complex normal M.
+
+    A sequence of seeds gives a stack.
+    """
+    return HermitianMatrix(_complex_normal(dim, seed))  # constructor symmetrizes
 
 
-def random_psd(dim: int, seed: int) -> HermitianMatrix:
-    """Seeded random positive semidefinite matrix G G† (no floor)."""
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    rng = _generator(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianMatrix(g @ g.conj().T)
+def random_psd(dim: int, seed) -> HermitianMatrix:
+    """Seeded random positive semidefinite matrix G G† (no floor).
+
+    A sequence of seeds gives a stack.
+    """
+    return HermitianMatrix(_gram(_complex_normal(dim, seed)))
 
 
-def random_unitary(dim: int, seed: int) -> np.ndarray:
-    """Seeded Haar-ish random unitary via QR with phase normalization."""
-    rng = _generator(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+def random_unitary(dim: int, seed) -> np.ndarray:
+    """Seeded Haar-ish random unitary via QR with phase normalization.
+
+    A sequence of seeds gives a stack.
+    """
+    q, r = np.linalg.qr(_complex_normal(dim, seed))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]

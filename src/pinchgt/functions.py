@@ -21,7 +21,11 @@ __all__ = [
 
 
 def apply_to_decomposition(f, dec: SpectralDecomposition) -> HermitianMatrix:
-    """sum_i f(lambda_i) P_i for an already-computed decomposition."""
+    """sum_i f(lambda_i) P_i for an already-computed decomposition (or a stack).
+
+    `f` is a scalar function, evaluated once per distinct eigenvalue; for a
+    stack, once per distinct eigenvalue of each matrix.
+    """
     try:
         values = np.array([float(f(float(lam))) for lam in dec.eigenvalues])
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -30,7 +34,8 @@ def apply_to_decomposition(f, dec: SpectralDecomposition) -> HermitianMatrix:
         bad = dec.eigenvalues[~np.isfinite(values)]
         raise DomainError(f"function not finite at eigenvalue(s) {bad}")
     weights = dec.column_weights(values)
-    return HermitianMatrix((dec.vectors * weights) @ dec.vectors.conj().T)
+    v = dec.vectors
+    return HermitianMatrix((v * weights[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def herm_exp(a: HermitianMatrix, policy: NumericPolicy = DEFAULT_POLICY) -> HermitianMatrix:

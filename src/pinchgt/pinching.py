@@ -10,6 +10,9 @@ defining properties, all checked by :func:`pinching_checks`:
 * it preserves the weighted trace tr[X A],
 * it dominates X/n in the Loewner order (n = distinct eigenvalue count),
   because it equals the uniform mixture of n dephasing-unitary conjugations.
+
+Every function takes stacks ``(..., d, d)`` of references and operands as
+well as single matrices (see ``policy.py``), pairing them by batch index.
 """
 
 from dataclasses import dataclass
@@ -25,7 +28,10 @@ from .policy import (
     TRACE_TOL,
     Check,
     NumericPolicy,
+    at_index,
     bilinear_scale,
+    first_failure,
+    frobenius,
 )
 from .spectral import SpectralDecomposition, decompose, eigvals
 
@@ -45,8 +51,8 @@ class PinchOperator:
     base: SpectralDecomposition
 
     @property
-    def n(self) -> int:
-        """Number of distinct eigenvalues of the reference matrix."""
+    def n(self):
+        """Number of distinct eigenvalues of the reference matrix (per matrix, for a stack)."""
         return self.base.n
 
     @property
@@ -64,24 +70,26 @@ def _require_dim(op: PinchOperator, x: HermitianMatrix):
         raise DimensionMismatch(f"operand dim {x.dim} != operator dim {op.dim}")
 
 
+def _per_matrix(values) -> np.ndarray:
+    """Per-matrix values shaped to broadcast against the matrices of a stack."""
+    return np.asarray(values)[..., None, None]
+
+
 def pinch(op: PinchOperator, x: HermitianMatrix) -> HermitianMatrix:
     """Apply the pinching map: sum_i P_i X P_i.
 
     Computed as block-diagonal extraction in the eigenbasis of the
     reference matrix, with one block per distinct eigenvalue; this is the
-    same map as the projector sum but costs a single basis change.
+    same map as the projector sum but costs a single basis change. The
+    blocks are the entries whose row and column share a cluster label.
     """
     _require_dim(op, x)
     v = op.base.vectors
-    in_basis = v.conj().T @ x.mat @ v
-    # the multiplicities are positive and sum to the dimension by construction
-    pinched = np.zeros_like(in_basis)
-    start = 0
-    for size in op.base.multiplicities:
-        block = slice(start, start + size)
-        pinched[block, block] = in_basis[block, block]
-        start += size
-    return HermitianMatrix(v @ pinched @ v.conj().T)
+    vh = v.conj().swapaxes(-1, -2)
+    in_basis = vh @ x.mat @ v
+    labels = op.base.labels
+    pinched = np.where(labels[..., :, None] == labels[..., None, :], in_basis, 0)
+    return HermitianMatrix(v @ pinched @ vh)
 
 
 def pinch_via_mixture(op: PinchOperator, x: HermitianMatrix) -> HermitianMatrix:
@@ -94,16 +102,23 @@ def pinch_via_mixture(op: PinchOperator, x: HermitianMatrix) -> HermitianMatrix:
     sum_y phi_y phi_y^*, formed as one (d x n)(n x d) product of the phase
     table: one basis change and O(n d^2) phase work. The phase sum is
     evaluated as such and never replaced by the block mask, so this stays
-    an independent route from :func:`pinch`.
+    an independent route from :func:`pinch`. In a stack, the matrices that
+    share a count n share one stacked product, so each matrix gets exactly
+    its own n-term sum.
     """
     _require_dim(op, x)
-    n = op.n
+    n = np.asarray(op.n)
     v = op.base.vectors
-    in_basis = v.conj().T @ x.mat @ v
-    labels = op.base.column_weights(np.arange(1, n + 1))
-    phases = np.exp(2j * np.pi * np.arange(1, n + 1)[:, None] * labels / n)
-    mixture = phases.T @ phases.conj()
-    return HermitianMatrix(v @ (in_basis * mixture / n) @ v.conj().T)
+    vh = v.conj().swapaxes(-1, -2)
+    in_basis = vh @ x.mat @ v
+    labels = op.base.labels + 1
+    mixture = np.empty_like(in_basis)
+    for count in np.unique(n):
+        group = n == count
+        y = np.arange(1, count + 1)
+        phases = np.exp(2j * np.pi * y[:, None] * labels[group][..., None, :] / count)
+        mixture[group] = phases.swapaxes(-1, -2) @ phases.conj()
+    return HermitianMatrix(v @ (in_basis * mixture / _per_matrix(n)) @ vh)
 
 
 def pinching_checks(
@@ -114,28 +129,38 @@ def pinching_checks(
     In certificate order: the norm of [pinch(X), A]; |tr[pinch(X) A] - tr[X A]|;
     pinch(X) >= X/n as minus the smallest eigenvalue of pinch(X) - X/n; and
     the Frobenius gap to :func:`pinch_via_mixture`. The lower bound is only
-    forced for PSD operands, so non-PSD X raises NotPSD before any check.
+    forced for PSD operands, so non-PSD X raises NotPSD before any check;
+    in a stack, one non-PSD operand raises for the whole stack.
     """
     _require_dim(op, x)
     w = eigvals(x)
-    if float(w[0]) < -policy.psd_floor(w[0], w[-1]):
+    bad = first_failure(w[..., 0] < -policy.psd_floor(w[..., 0], w[..., -1]))
+    if bad is not None:
         raise NotPSD(
-            f"operand must be PSD for the lower bound; min eigenvalue {float(w[0]):.6e}"
+            f"operand must be PSD for the lower bound; "
+            f"min eigenvalue {float(w[bad][0]):.6e}{at_index(bad)}"
         )
     a = op.base.reconstruct().mat
     px = pinch(op, x).mat
     bilinear = bilinear_scale(a, x.mat)
-    commutation = float(np.linalg.norm(px @ a - a @ px))
-    trace = float(abs(np.trace(px @ a) - np.trace(x.mat @ a)))
-    dw = eigvals(px - (1.0 / op.n) * x.mat)
-    mixture = float(np.linalg.norm(px - pinch_via_mixture(op, x).mat))
+    commutation = frobenius(px @ a - a @ px)
+    shift = np.trace(px @ a, axis1=-2, axis2=-1) - np.trace(x.mat @ a, axis1=-2, axis2=-1)
+    # |shift| as libm's hypot, which is how abs() rounds a complex scalar;
+    # np.abs on a complex array may round the last bit differently
+    trace = np.hypot(shift.real, shift.imag)
+    dw = eigvals(px - (1.0 / _per_matrix(op.n)) * x.mat)
+    mixture = frobenius(px - pinch_via_mixture(op, x).mat)
     return (
         Check("pinch_commutes_with_base", commutation, COMMUTATION_TOL * bilinear),
         Check("pinch_preserves_weighted_trace", trace, TRACE_TOL * bilinear),
-        Check("pinch_dominates_scaled_operand", -float(dw[0]), policy.psd_floor(dw[0], dw[-1])),
+        Check(
+            "pinch_dominates_scaled_operand",
+            -dw[..., 0],
+            policy.psd_floor(dw[..., 0], dw[..., -1]),
+        ),
         Check(
             "pinch_equals_dephasing_mixture",
             mixture,
-            MIXTURE_TOL * op.n * (1.0 + float(np.linalg.norm(x.mat))),
+            MIXTURE_TOL * op.n * (1.0 + frobenius(x.mat)),
         ),
     )

@@ -5,6 +5,13 @@ the CLI's ``--tol-*`` flags). The module constants below are the fixed
 relative tolerances of the certificate checks; each is scaled by the size
 of the operands it judges, as its comment says. A ``Check`` records one such
 decision with its residual and tolerance.
+
+Every layer follows numpy's stacked convention: an array of shape
+``(..., d, d)`` holds one matrix per index of its leading batch axes, and a
+plain ``d x d`` matrix is the stack of shape ``()``. A per-matrix result is
+then a Python scalar for a single matrix and an array of the batch shape for
+a stack; :func:`batch_result`, :func:`frobenius` and :func:`first_failure`
+are the helpers every layer shares for that.
 """
 
 from dataclasses import dataclass
@@ -29,22 +36,61 @@ BOUND_MONOTONE_TOL = 1e-12  # bound non-increasing in m
 TRACE_IMAG_TOL = 1e-12
 
 
-def bilinear_scale(a: np.ndarray, b: np.ndarray) -> float:
+def batch_result(x):
+    """A Python scalar for a single matrix's result, the array for a stack's."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
+
+
+def frobenius(x: np.ndarray):
+    """Frobenius norm of a matrix, or one norm per matrix of a stack.
+
+    A single matrix keeps ``np.linalg.norm(x)``, so its rounding is the
+    same as before stacks existed; only a stack takes the axis form.
+    """
+    if x.ndim == 2:
+        return float(np.linalg.norm(x))
+    return np.linalg.norm(x, axis=(-2, -1))
+
+
+def first_failure(bad) -> tuple[int, ...] | None:
+    """Batch index of the first failing matrix; () for a single matrix, None if none failed."""
+    bad = np.asarray(bad)
+    if not bad.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+
+
+def at_index(index: tuple[int, ...]) -> str:
+    """Error-message suffix naming a stack index; empty for a single matrix."""
+    return f" at stack index {', '.join(map(str, index))}" if index else ""
+
+
+def bilinear_scale(a: np.ndarray, b: np.ndarray):
     """(1 + ||A||_F)(1 + ||B||_F), the scale of a residual bilinear in A and B."""
-    return (1.0 + float(np.linalg.norm(a))) * (1.0 + float(np.linalg.norm(b)))
+    return (1.0 + frobenius(a)) * (1.0 + frobenius(b))
 
 
 @dataclass(frozen=True)
 class Check:
-    """One certified decision: it passes when ``residual <= tolerance``."""
+    """One certified decision: it passes when ``residual <= tolerance``.
+
+    For a stack, ``residual`` and ``tolerance`` are arrays over the batch
+    and ``passed`` is a boolean array; for a single matrix all three are
+    Python scalars.
+    """
 
     name: str
     residual: float
     tolerance: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "residual", batch_result(self.residual))
+        object.__setattr__(self, "tolerance", batch_result(self.tolerance))
+
     @property
-    def passed(self) -> bool:
-        return bool(self.residual <= self.tolerance)
+    def passed(self):
+        return batch_result(np.less_equal(self.residual, self.tolerance))
 
     def as_dict(self) -> dict:
         return {
@@ -84,9 +130,12 @@ class NumericPolicy:
             if not (isinstance(value, (int, float)) and value > 0):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
 
-    def psd_floor(self, lo: float, hi: float) -> float:
-        """Positivity slack of a spectrum spanning [lo, hi]: psd_tol * max(1, |lo|, |hi|)."""
-        return self.psd_tol * max(1.0, abs(float(lo)), abs(float(hi)))
+    def psd_floor(self, lo, hi):
+        """Positivity slack of a spectrum spanning [lo, hi]: psd_tol * max(1, |lo|, |hi|).
+
+        Takes per-matrix arrays of ends for a stack and returns one floor each.
+        """
+        return self.psd_tol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
 
     def as_dict(self) -> dict:
         return {

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import HermitianMatrix, as_array
 from .errors import ConvergenceFailure, NotPositiveDefinite
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY, NumericPolicy, at_index, batch_result, first_failure, frobenius
 
 __all__ = [
     "SpectralDecomposition",
@@ -28,29 +28,33 @@ __all__ = [
 def eigh(a, policy: NumericPolicy = DEFAULT_POLICY):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
-    Backed by LAPACK. The result is verified against the policy's residual
-    bounds, ``||A V - V diag(w)||_F <= residual_tol (1 + ||A||_F)`` and
-    ``||V† V - I||_F <= residual_tol``; a violation raises
-    ConvergenceFailure rather than returning a silently bad basis.
+    Backed by LAPACK; a stack ``(..., d, d)`` is decomposed in one call. The
+    result is verified per matrix against the policy's residual bounds,
+    ``||A V - V diag(w)||_F <= residual_tol (1 + ||A||_F)`` and
+    ``||V† V - I||_F <= residual_tol``; if any matrix violates one,
+    ConvergenceFailure is raised rather than returning a silently bad basis.
     """
     mat = as_array(a)
     try:
         w, v = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
-    a_norm = np.linalg.norm(mat)
-    residual = np.linalg.norm(mat @ v - v * w)
-    if residual > policy.residual_tol * (1.0 + a_norm):
+    residual = frobenius(mat @ v - v * w[..., None, :])
+    bad = first_failure(residual > policy.residual_tol * (1.0 + frobenius(mat)))
+    if bad is not None:
         raise ConvergenceFailure(
-            f"eigendecomposition residual {residual:.3e} exceeds "
-            f"{policy.residual_tol:.1e} * (1 + ||A||_F)"
+            f"eigendecomposition residual {np.asarray(residual)[bad]:.3e} exceeds "
+            f"{policy.residual_tol:.1e} * (1 + ||A||_F){at_index(bad)}"
         )
-    gram = v.conj().T @ v
-    gram.flat[:: len(w) + 1] -= 1.0
-    ortho = np.linalg.norm(gram)
-    if ortho > policy.residual_tol:
+    gram = v.conj().swapaxes(-1, -2) @ v
+    diag = np.arange(w.shape[-1])
+    gram[..., diag, diag] -= 1.0
+    ortho = frobenius(gram)
+    bad = first_failure(ortho > policy.residual_tol)
+    if bad is not None:
         raise ConvergenceFailure(
-            f"eigenbasis orthonormality defect {ortho:.3e} exceeds {policy.residual_tol:.1e}"
+            f"eigenbasis orthonormality defect {np.asarray(ortho)[bad]:.3e} exceeds "
+            f"{policy.residual_tol:.1e}{at_index(bad)}"
         )
     return w, v
 
@@ -70,35 +74,45 @@ class SpectralDecomposition:
     ``eigenvalues`` holds the strictly increasing cluster representatives
     (means of the clustered raw eigenvalues) and ``multiplicities`` the
     cluster sizes. ``vectors`` is the orthonormal eigenbasis with cluster i
-    occupying a contiguous block of columns; P_i is V_i V_i† for that block.
+    occupying a contiguous block of columns; P_i is V_i V_i† for that block,
+    and ``labels`` gives the cluster index i of every column.
     No projector is ever materialized, so a high-dimensional decomposition
     with many clusters costs eigenvector storage, never n projector matrices.
     ``source`` is the decomposed matrix itself, kept for callers that need
     both the matrix and its spectrum.
+
+    For a stack, ``vectors`` is ``(..., d, d)`` and ``labels`` ``(..., d)``,
+    with cluster indices counted within each matrix, and ``n`` is an array
+    of per-matrix counts. ``eigenvalues`` and ``multiplicities`` list the
+    clusters of every matrix in turn (row-major over the batch axes), so
+    they stay one-dimensional.
     """
 
     source: HermitianMatrix
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
     vectors: np.ndarray
+    labels: np.ndarray
 
     @property
     def source_dim(self) -> int:
         return self.source.dim
 
     @property
-    def n(self) -> int:
-        """Number of distinct eigenvalues."""
-        return len(self.eigenvalues)
+    def n(self):
+        """Number of distinct eigenvalues (per matrix, for a stack)."""
+        return batch_result(self.labels[..., -1] + 1)
 
     def column_weights(self, values) -> np.ndarray:
         """Expand one value per distinct eigenvalue to one per basis column."""
-        return np.repeat(np.asarray(values, dtype=np.float64), self.multiplicities)
+        values = np.asarray(values, dtype=np.float64)
+        return np.repeat(values, self.multiplicities).reshape(self.labels.shape)
 
     def reconstruct(self) -> HermitianMatrix:
         """sum_i lambda_i P_i, the source matrix up to the residual bound."""
         weights = self.column_weights(self.eigenvalues)
-        return HermitianMatrix((self.vectors * weights) @ self.vectors.conj().T)
+        v = self.vectors
+        return HermitianMatrix((v * weights[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def decompose(
@@ -109,23 +123,29 @@ def decompose(
     Adjacent eigenvalues merge transitively while the gap stays within
     ``cluster_tol * max(1, spectral radius)``; each cluster's representative
     eigenvalue is the mean of its members (which minimizes reconstruction
-    error for the multiplicity-weighted sum).
+    error for the multiplicity-weighted sum). A stack is clustered per
+    matrix, all matrices at once.
     """
     w, v = eigh(a, policy)
-    radius = max(abs(float(w[0])), abs(float(w[-1])))
-    gap = policy.cluster_tol * max(1.0, radius)
-    # cluster i spans w[edges[i] : edges[i + 1]]; a gap above `gap` starts one
-    edges = np.concatenate(([0], np.flatnonzero(w[1:] - w[:-1] > gap) + 1, [len(w)]))
-    sizes = edges[1:] - edges[:-1]
+    radius = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
+    gap = policy.cluster_tol * np.maximum(1.0, radius)
+    # a column starts a cluster when it is the first or its gap exceeds `gap`
+    starts = np.ones(w.shape, dtype=bool)
+    starts[..., 1:] = w[..., 1:] - w[..., :-1] > gap[..., None]
+    labels = np.cumsum(starts, axis=-1) - 1
+    flat = w.reshape(-1)
+    first = np.flatnonzero(starts)
+    sizes = np.diff(first, append=flat.size)
     # the mean of a singleton is its one value, so only larger clusters average
-    reps = w[edges[:-1]]
+    reps = flat[first]
     for i in np.flatnonzero(sizes > 1):
-        reps[i] = w[edges[i] : edges[i + 1]].mean()
+        reps[i] = flat[first[i] : first[i] + sizes[i]].mean()
     return SpectralDecomposition(
         source=a,
         eigenvalues=reps,
         multiplicities=sizes,
         vectors=v,
+        labels=labels,
     )
 
 
@@ -133,11 +153,13 @@ def require_positive_definite(
     dec: SpectralDecomposition, policy: NumericPolicy = DEFAULT_POLICY, what: str = "matrix"
 ) -> None:
     """Raise NotPositiveDefinite unless every clustered eigenvalue clears psd_floor."""
-    lo, hi = dec.eigenvalues[0], dec.eigenvalues[-1]
+    ends = dec.column_weights(dec.eigenvalues)
+    lo, hi = ends[..., 0], ends[..., -1]
     floor = policy.psd_floor(lo, hi)
-    if not lo > floor:
+    bad = first_failure(~(lo > floor))
+    if bad is not None:
         raise NotPositiveDefinite(
             f"{what} is not positive definite: smallest clustered eigenvalue "
-            f"{float(lo):.6e} does not clear the resolvable "
-            f"floor {floor:.6e}"
+            f"{float(lo[bad]):.6e} does not clear the resolvable "
+            f"floor {float(floor[bad]):.6e}{at_index(bad)}"
         )

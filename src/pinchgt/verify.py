@@ -38,7 +38,9 @@ from .policy import (
     TRACE_IMAG_TOL,
     Check,
     NumericPolicy,
+    batch_result,
     bilinear_scale,
+    frobenius,
 )
 from .spectral import SpectralDecomposition, decompose, eigvals, require_positive_definite
 from .tensor import DIM_CAP, count_distinct_spectrum, tensor_power
@@ -66,11 +68,13 @@ def _log_trace_exp(h: HermitianMatrix) -> float:
 
 @dataclass(frozen=True)
 class GTReport:
-    """Both sides of the trace inequality for one Hermitian pair.
+    """Both sides of the trace inequality for one Hermitian pair, or a stack of pairs.
 
     ``checks`` holds the ``golden_thompson_gap`` check and, for a commuting
-    pair, the ``commuting_equality`` check that the two sides agree.
-    ``exp_a`` and ``exp_b`` are the two factors of ``rhs``.
+    pair, the ``commuting_equality`` check that the two sides agree; in a
+    stack it is present when any pair commutes, and its tolerance is
+    infinite at the pairs that do not. ``exp_a`` and ``exp_b`` are the two
+    factors of ``rhs``. For a stack, the numbers are arrays over the batch.
     """
 
     lhs: float  # tr exp(A + B)
@@ -82,7 +86,7 @@ class GTReport:
     exp_b: HermitianMatrix = field(repr=False, compare=False)
 
     @property
-    def holds(self) -> bool:
+    def holds(self):
         """Whether the inequality holds: the golden_thompson_gap check passed."""
         return self.checks[0].passed
 
@@ -95,23 +99,29 @@ def gt_check(
     Neither operand needs to be positive definite. `holds` allows the gap
     a relative slack of GT_GAP_TOL; `commuting` flags pairs whose
     commutator vanishes to working precision, for which the two sides
-    agree exactly.
+    agree exactly. Stacks of A and B are checked pair by pair.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    lhs = float(np.sum(np.exp(eigvals(a.mat + b.mat))))
+    lhs = np.sum(np.exp(eigvals(a.mat + b.mat)), axis=-1)
     ea = herm_exp(a, policy)
     eb = herm_exp(b, policy)
-    rhs = float(np.trace(ea.mat @ eb.mat).real)
+    rhs = np.trace(ea.mat @ eb.mat, axis1=-2, axis2=-1).real
     gap = rhs - lhs
-    gap_tol = GT_GAP_TOL * (abs(lhs) + abs(rhs))
+    gap_tol = GT_GAP_TOL * (np.abs(lhs) + np.abs(rhs))
     checks = (Check("golden_thompson_gap", lhs - rhs, gap_tol),)
-    commutator = float(np.linalg.norm(a.mat @ b.mat - b.mat @ a.mat))
+    commutator = frobenius(a.mat @ b.mat - b.mat @ a.mat)
     commuting = commutator <= COMMUTATION_TOL * bilinear_scale(a.mat, b.mat)
-    if commuting:
-        checks += (Check("commuting_equality", abs(gap), gap_tol),)
+    if np.any(commuting):
+        checks += (Check("commuting_equality", np.abs(gap), np.where(commuting, gap_tol, np.inf)),)
     return GTReport(
-        lhs=lhs, rhs=rhs, gap=gap, commuting=commuting, checks=checks, exp_a=ea, exp_b=eb
+        lhs=batch_result(lhs),
+        rhs=batch_result(rhs),
+        gap=batch_result(gap),
+        commuting=batch_result(commuting),
+        checks=checks,
+        exp_a=ea,
+        exp_b=eb,
     )
 
 

@@ -227,3 +227,10 @@ def test_threads_draw_independently():
         sys.setswitchinterval(old_interval)
     assert not any(t.is_alive() for t in threads)
     assert mismatches == []
+
+
+@pytest.mark.parametrize("gen", [random_hermitian, random_pd, random_psd, random_unitary])
+@pytest.mark.parametrize("dim", [0, -1])
+def test_generators_refuse_dimensions_below_one(gen, dim):
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        gen(dim, 3)
