@@ -24,9 +24,8 @@ import numpy as np
 from .core import random_hermitian, random_pd, random_psd
 from .errors import PinchError
 from .matrixio import load_matrix, matrix_digest
-from .pinching import pinch_operator, pinching_checks
+from .pinching import PinchOperator, pinch_operator, pinching_checks
 from .policy import NumericPolicy
-from .spectral import decompose
 from .tensor import DIM_CAP
 from .verify import chain_checks, convergence_study, finite_power_certificate, gt_check
 
@@ -70,7 +69,7 @@ def _parse_m_list(text: str) -> list[int]:
 
 
 def _parse_dims(text: str) -> list[int]:
-    """Accepts '3', '2..6', or '2,3,5'."""
+    """Accepts '3', '2..6', or '2,3,5', each dimension at most DIM_CAP."""
     if ".." in text:
         lo_s, _, hi_s = text.partition("..")
         try:
@@ -79,14 +78,18 @@ def _parse_dims(text: str) -> list[int]:
             raise ValueError(f"--dims range must be INT..INT, got {text!r}")
         if lo < 1 or hi < lo:
             raise ValueError(f"--dims range {text!r} is empty or non-positive")
-        return list(range(lo, hi + 1))
-    try:
-        dims = [int(part) for part in text.split(",")]
-    except ValueError:
-        raise ValueError(f"--dims expects integers, got {text!r}")
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"--dims entries must be positive, got {text!r}")
-    return dims
+        dims, top = range(lo, hi + 1), hi
+    else:
+        try:
+            dims = [int(part) for part in text.split(",")]
+        except ValueError:
+            raise ValueError(f"--dims expects integers, got {text!r}")
+        if not dims or any(d < 1 for d in dims):
+            raise ValueError(f"--dims entries must be positive, got {text!r}")
+        top = max(dims)
+    if top > DIM_CAP:
+        raise ValueError(f"--dims {text!r} exceeds the dimension cap {DIM_CAP}")
+    return list(dims)
 
 
 def _fmt(x) -> str:
@@ -109,12 +112,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     report = gt_check(a, b, policy)
     # the pinching properties need a positive definite reference, so they
     # are exercised on exp(B) with operand exp(A); both always qualify
-    ea = report.exp_a
-    op = pinch_operator(report.exp_b, policy)
     checks = [
         *report.checks,
-        *pinching_checks(op, ea, policy),
-        finite_power_certificate(decompose(ea, policy), op.base, args.m, policy),
+        *pinching_checks(PinchOperator(report.exp_b), report.exp_a.source, policy),
+        finite_power_certificate(report.exp_a, report.exp_b, args.m, policy),
     ]
 
     all_passed = all(c.passed for c in checks)

@@ -12,6 +12,7 @@ from .core import HermitianMatrix
 from .errors import DomainError
 from .policy import DEFAULT_POLICY, NumericPolicy
 from .spectral import SpectralDecomposition, decompose, require_positive_definite
+from .spectral import _cluster, _synthesize
 
 __all__ = [
     "apply_to_decomposition",
@@ -30,17 +31,26 @@ def apply_to_decomposition(f, dec: SpectralDecomposition) -> HermitianMatrix:
         values = np.array([float(f(float(lam))) for lam in dec.eigenvalues])
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise DomainError(f"function undefined at an eigenvalue: {exc}") from exc
+    return _synthesize(dec.vectors, _column_values(dec, values))
+
+
+def _column_values(dec: SpectralDecomposition, values: np.ndarray) -> np.ndarray:
+    """One value per distinct eigenvalue, expanded to one per column; all must be finite."""
     if not np.isfinite(values).all():
         bad = dec.eigenvalues[~np.isfinite(values)]
         raise DomainError(f"function not finite at eigenvalue(s) {bad}")
-    weights = dec.column_weights(values)
-    v = dec.vectors
-    return HermitianMatrix((v * weights[..., None, :]) @ v.conj().swapaxes(-1, -2))
+    return dec.column_weights(values)
+
+
+def _exp_decomposition(dec: SpectralDecomposition, policy: NumericPolicy) -> SpectralDecomposition:
+    """exp A from the decomposition of A: A's basis, exp of its values, clustered again."""
+    w = _column_values(dec, np.exp(dec.eigenvalues))
+    return _cluster(_synthesize(dec.vectors, w), w, dec.vectors, policy)
 
 
 def herm_exp(a: HermitianMatrix, policy: NumericPolicy = DEFAULT_POLICY) -> HermitianMatrix:
     """Matrix exponential of a Hermitian matrix; always positive definite."""
-    return apply_to_decomposition(np.exp, decompose(a, policy))
+    return _exp_decomposition(decompose(a, policy), policy).source
 
 
 def herm_log(a: HermitianMatrix, policy: NumericPolicy = DEFAULT_POLICY) -> HermitianMatrix:

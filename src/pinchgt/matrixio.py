@@ -16,7 +16,7 @@ import json
 import numpy as np
 
 from .core import HermitianMatrix, construct_hermitian
-from .errors import MatrixFileError
+from .errors import MatrixFileError, NotFinite
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 __all__ = [
@@ -36,7 +36,10 @@ def _grid(doc: dict, key: str, dim: int) -> np.ndarray:
         for j, entry in enumerate(row):
             if isinstance(entry, bool) or not isinstance(entry, (int, float)):
                 raise MatrixFileError(f"'{key}'[{i}][{j}] is not a number")
-    return np.asarray(rows, dtype=float)
+    try:
+        return np.asarray(rows, dtype=float)
+    except OverflowError as exc:  # an integer entry beyond the float range
+        raise NotFinite("matrix entries must be finite (no NaN/inf)") from exc
 
 
 def parse_matrix(doc: dict) -> np.ndarray:

@@ -110,9 +110,12 @@ class SpectralDecomposition:
 
     def reconstruct(self) -> HermitianMatrix:
         """sum_i lambda_i P_i, the source matrix up to the residual bound."""
-        weights = self.column_weights(self.eigenvalues)
-        v = self.vectors
-        return HermitianMatrix((v * weights[..., None, :]) @ v.conj().swapaxes(-1, -2))
+        return _synthesize(self.vectors, self.column_weights(self.eigenvalues))
+
+
+def _synthesize(v: np.ndarray, weights: np.ndarray) -> HermitianMatrix:
+    """V diag(weights) V†, with one weight per column of the eigenbasis V."""
+    return HermitianMatrix((v * weights[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def decompose(
@@ -126,7 +129,11 @@ def decompose(
     error for the multiplicity-weighted sum). A stack is clustered per
     matrix, all matrices at once.
     """
-    w, v = eigh(a, policy)
+    return _cluster(a, *eigh(a, policy), policy)
+
+
+def _cluster(a: HermitianMatrix, w: np.ndarray, v: np.ndarray, policy: NumericPolicy):
+    """decompose's clustering, for `a` with ascending eigenvalues w and eigenbasis v."""
     radius = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
     gap = policy.cluster_tol * np.maximum(1.0, radius)
     # a column starts a cluster when it is the first or its gap exceeds `gap`

@@ -30,8 +30,11 @@ __all__ = [
 # full-matrix work stays at desk scale; combinatorial counting has no cap
 DIM_CAP = 4096
 
-# hard stop for multiset enumeration (count of candidates, not matrix size)
+# hard stops for multiset enumeration: the candidate multisets, which bound
+# its memory, and the log terms summed over them (candidates times m), which
+# bound its time; at m <= 3 the candidate cap alone decides
 _ENUMERATION_CAP = 2_000_000
+_TERM_CAP = 6_000_000
 
 
 def tensor_power(a: HermitianMatrix, m: int, cap: int = DIM_CAP) -> HermitianMatrix:
@@ -102,6 +105,11 @@ def count_distinct_spectrum(
         raise SizeOverflow(
             f"{exact_bound} candidate multisets exceed the enumeration cap "
             f"{_ENUMERATION_CAP}"
+        )
+    if exact_bound * m > _TERM_CAP:
+        raise SizeOverflow(
+            f"{exact_bound} candidate multisets of {m} terms each exceed the "
+            f"enumeration cap of {_TERM_CAP} terms"
         )
     logs = np.log(dec.eigenvalues)
     sums = np.fromiter(

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import HermitianMatrix
 from .errors import DimensionMismatch, NonRealTrace
-from .functions import apply_to_decomposition, herm_exp, herm_log
+from .functions import _exp_decomposition, apply_to_decomposition, herm_log
 from .pinching import PinchOperator, pinch
 from .policy import (
     BOUND_MONOTONE_TOL,
@@ -73,8 +73,9 @@ class GTReport:
     ``checks`` holds the ``golden_thompson_gap`` check and, for a commuting
     pair, the ``commuting_equality`` check that the two sides agree; in a
     stack it is present when any pair commutes, and its tolerance is
-    infinite at the pairs that do not. ``exp_a`` and ``exp_b`` are the two
-    factors of ``rhs``. For a stack, the numbers are arrays over the batch.
+    infinite at the pairs that do not. ``exp_a`` and ``exp_b`` decompose the
+    two factors of ``rhs`` in A's and B's eigenbases, with the matrices at
+    ``.source``. For a stack, the numbers are arrays over the batch.
     """
 
     lhs: float  # tr exp(A + B)
@@ -82,8 +83,8 @@ class GTReport:
     gap: float  # rhs - lhs; nonnegative up to tolerance iff the inequality holds
     commuting: bool
     checks: tuple[Check, ...]
-    exp_a: HermitianMatrix = field(repr=False, compare=False)
-    exp_b: HermitianMatrix = field(repr=False, compare=False)
+    exp_a: SpectralDecomposition = field(repr=False, compare=False)
+    exp_b: SpectralDecomposition = field(repr=False, compare=False)
 
     @property
     def holds(self):
@@ -104,9 +105,9 @@ def gt_check(
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
     lhs = np.sum(np.exp(eigvals(a.mat + b.mat)), axis=-1)
-    ea = herm_exp(a, policy)
-    eb = herm_exp(b, policy)
-    rhs = np.trace(ea.mat @ eb.mat, axis1=-2, axis2=-1).real
+    ea = _exp_decomposition(decompose(a, policy), policy)
+    eb = _exp_decomposition(decompose(b, policy), policy)
+    rhs = np.trace(ea.source.mat @ eb.source.mat, axis1=-2, axis2=-1).real
     gap = rhs - lhs
     gap_tol = GT_GAP_TOL * (np.abs(lhs) + np.abs(rhs))
     checks = (Check("golden_thompson_gap", lhs - rhs, gap_tol),)

@@ -10,6 +10,7 @@ from pinchgt import (
     GTReport,
     chain_trace,
     construct_hermitian,
+    decompose,
     herm_exp,
     load_matrix,
     matrix_digest,
@@ -181,19 +182,28 @@ def test_bad_inputs_exit_2(tmp_path, pair, capsys):
     assert main(["random-suite", "--trials", "0"]) == 2
     assert main(["random-suite", "--dims", "5..2"]) == 2
     assert main(["random-suite", "--dims", "a..b"]) == 2
+    # dimensions above DIM_CAP, refused before a range is expanded
+    assert main(["random-suite", "--dims", "10000000"]) == 2
+    assert main(["random-suite", "--dims", "1..1000000000000"]) == 2
+    # 10**6 + 1 candidate multisets of 10**6 terms each, refused before enumerating
+    assert main(["check", pa, pb, "--m", "1000000"]) == 2
     capsys.readouterr()
 
 
 def test_overflowing_input_exits_2(tmp_path, pair, capsys):
-    """Finite entries whose symmetrization overflows are refused as non-finite."""
+    """Finite entries whose symmetrization overflows, and integer entries
+    beyond the float range, are refused as non-finite."""
     _, pb, _, _ = pair
     big = tmp_path / "big.json"
     big.write_text(json.dumps({"dim": 2, "re": [[1e308, 0.0], [0.0, 1.0]]}))
-    for argv in (["check", str(big), pb], ["chain", str(big), pb, "--m", "1"]):
-        assert main(argv) == 2
-        assert capsys.readouterr().err.endswith(
-            "error: matrix entries must be finite (no NaN/inf)\n"
-        )
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"dim": 2, "re": [[10**400, 0], [0, 1]]}))
+    for path in (big, huge):
+        for argv in (["check", str(path), pb], ["chain", str(path), pb, "--m", "1"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.endswith(
+                "error: matrix entries must be finite (no NaN/inf)\n"
+            )
 
 
 def test_random_suite_seed_out_of_key_range_exits_2(capsys):
@@ -225,7 +235,7 @@ def test_gt_violation_plumbing(pair, capsys, monkeypatch):
     fake = GTReport(
         lhs=2.0, rhs=1.0, gap=-1.0, commuting=False,
         checks=(Check("golden_thompson_gap", 1.0, 3e-9),),
-        exp_a=herm_exp(a), exp_b=herm_exp(b),
+        exp_a=decompose(herm_exp(a)), exp_b=decompose(herm_exp(b)),
     )
     monkeypatch.setattr(cli, "gt_check", lambda a, b, policy: fake)
     assert main(["check", pa, pb]) == 1
@@ -236,11 +246,13 @@ def test_gt_violation_plumbing(pair, capsys, monkeypatch):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of calls through pinchgt.spectral.eigh and pinchgt.pinching.pinch."""
+    """Counts of calls through pinchgt.spectral.eigh, pinchgt.pinching.pinch
+    and spectral.eigvals, which verify and pinching import by name."""
     import pinchgt.pinching
     import pinchgt.spectral
+    import pinchgt.verify
 
-    counts = {"eigh": 0, "pinch": 0}
+    counts = {"eigh": 0, "eigvals": 0, "pinch": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -250,16 +262,20 @@ def calls(monkeypatch):
 
     monkeypatch.setattr(pinchgt.spectral, "eigh", counted("eigh", pinchgt.spectral.eigh))
     monkeypatch.setattr(pinchgt.pinching, "pinch", counted("pinch", pinchgt.pinching.pinch))
+    for module in (pinchgt.verify, pinchgt.pinching):
+        monkeypatch.setattr(module, "eigvals", counted("eigvals", module.eigvals))
     return counts
 
 
 def test_one_pass_per_certificate(pair, capsys, calls):
-    """A check op decomposes each of A, B, exp A and exp B once and pinches
-    exp A once; a random-suite trial pinches its operand once."""
+    """A check op decomposes A and B once each, takes exp A and exp B from
+    those decompositions, takes eigenvalues only of A + B, of log exp A +
+    log exp B and twice in the pinching checks, and pinches exp A once; a
+    random-suite trial pinches its operand once."""
     pa, pb, _, _ = pair
     assert main(["check", pa, pb]) == 0
-    assert calls == {"eigh": 4, "pinch": 1}
-    calls.update(eigh=0, pinch=0)
+    assert calls == {"eigh": 2, "eigvals": 4, "pinch": 1}
+    calls.update(eigh=0, eigvals=0, pinch=0)
     assert main(["random-suite", "--dims", "3", "--trials", "1"]) == 0
     assert calls["pinch"] == 1
     capsys.readouterr()
@@ -348,13 +364,13 @@ FROZEN_CERTIFICATE = """\
       "name": "pinch_commutes_with_base",
       "passed": true,
       "residual": 0.0,
-      "tolerance": 1.8872081703195617e-08
+      "tolerance": 1.887208170319562e-08
     },
     {
       "name": "pinch_preserves_weighted_trace",
       "passed": true,
       "residual": 4.263256414560601e-14,
-      "tolerance": 1.8872081703195617e-08
+      "tolerance": 1.887208170319562e-08
     },
     {
       "name": "pinch_dominates_scaled_operand",
@@ -371,7 +387,7 @@ FROZEN_CERTIFICATE = """\
     {
       "name": "finite_power_certificate",
       "passed": true,
-      "residual": -87.48579042363815,
+      "residual": -87.48579042363814,
       "tolerance": 3.117275025420882e-07
     }
   ],

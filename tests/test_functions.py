@@ -10,6 +10,7 @@ from pinchgt import (
     apply_to_decomposition,
     construct_hermitian,
     decompose,
+    gt_check,
     herm_exp,
     herm_log,
     identity,
@@ -96,3 +97,13 @@ def test_domain_error_on_non_finite_result():
     a = construct_hermitian(np.diag([0.0, 1.0]))
     with pytest.raises(DomainError):
         apply_to_decomposition(lambda x: float("nan") if x == 0.0 else x, decompose(a))
+
+
+def test_exp_overflow_is_a_domain_error():
+    """exp overflows past about 709.78; gt_check takes its factors by the same route."""
+    big = construct_hermitian(np.diag([0.0, 800.0]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainError, match="not finite at eigenvalue"):
+            herm_exp(big)
+        with pytest.raises(DomainError, match="not finite at eigenvalue"):
+            gt_check(big, identity(2))

@@ -121,6 +121,11 @@ def test_count_enumeration_cap():
     count_distinct_spectrum(dec, 6)  # C(9,3) = 84, fine
     with pytest.raises(SizeOverflow):
         count_distinct_spectrum(dec, 300)  # C(303,3) far beyond the cap
+    # few enough candidates, but too many terms summed over them
+    with pytest.raises(SizeOverflow):
+        count_distinct_spectrum(decompose(construct_hermitian(np.diag([1.0, 2.0, 3.0]))), 800)
+    with pytest.raises(SizeOverflow):
+        count_distinct_spectrum(decompose(construct_hermitian(np.diag([1.0, 2.0]))), 10**6)
 
 
 def test_count_matches_materialized_spectrum():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from pinchgt import (
     DimensionMismatch,
+    HermitianMatrix,
     NotPositiveDefinite,
     binomial_bound,
     chain_checks,
@@ -18,10 +20,15 @@ from pinchgt import (
     gt_check,
     herm_exp,
     identity,
+    pinch_operator,
+    pinching_checks,
     random_hermitian,
     random_pd,
+    random_unitary,
     scale,
+    write_matrix,
 )
+from pinchgt.cli import main
 
 # ---------------------------------------------------------------- oracles --
 # Everything below uses plain numpy on raw arrays, none of the library's
@@ -265,3 +272,82 @@ def test_certificate_scale_invariance():
     assert finite_power_certificate(
         decompose(scale(100.0, a)), decompose(scale(0.01, b)), 2
     ).passed
+
+
+# ------------------------------------- exp decompositions, against eigh --
+# gt_check takes exp A and exp B from the decompositions of A and B. The
+# route it replaced decomposed the dense exponentials again; that route,
+# decompose(herm_exp(x)), is the oracle here.
+
+
+def _rotated(values, seed):
+    u = random_unitary(len(values), seed)
+    return construct_hermitian((u * np.asarray(values, dtype=float)) @ u.conj().T)
+
+
+def _near_degenerate_pair():
+    # gaps at 0.3x and 3x the clustering threshold cluster_tol * max(1, radius);
+    # B's 3x gap shrinks below the threshold of exp B, so exp B merges it
+    t_a = 1e-8 * 2.0
+    t_b = 1e-8 * 3.0
+    return (
+        _rotated([-1.0, -1.0 + 0.3 * t_a, 2.0 - 3.0 * t_a, 2.0], 11),
+        _rotated([-3.0, -3.0 + 3.0 * t_b, 0.0, 1.0], 12),
+    )
+
+
+EXP_ROUTE_PAIRS = {
+    "generic": lambda: (random_hermitian(4, 3), random_hermitian(4, 5)),
+    "degenerate": lambda: (_rotated([1.0, 1.0, 2.0], 1), _rotated([1.0, 1.0, 2.0], 2)),
+    "near_degenerate": _near_degenerate_pair,
+    # one seed, so one eigenbasis
+    "commuting": lambda: (_rotated([0.5, 1.0, 1.0, 3.0], 13), _rotated([2.0, -1.0, 0.25, 0.0], 13)),
+}
+
+
+def _assert_same_decomposition(new, old):
+    npt.assert_array_equal(new.labels, old.labels)
+    npt.assert_array_equal(new.n, old.n)
+    npt.assert_array_equal(new.multiplicities, old.multiplicities)
+    npt.assert_allclose(new.eigenvalues, old.eigenvalues, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(EXP_ROUTE_PAIRS))
+def test_exp_decompositions_match_the_dense_route(name, tmp_path, capsys):
+    a, b = EXP_ROUTE_PAIRS[name]()
+    report = gt_check(a, b)
+    if name == "near_degenerate":
+        assert (decompose(a).n, report.exp_a.n, decompose(b).n, report.exp_b.n) == (3, 3, 4, 3)
+    old_a, old_b = decompose(herm_exp(a)), decompose(herm_exp(b))
+    _assert_same_decomposition(report.exp_a, old_a)
+    _assert_same_decomposition(report.exp_b, old_b)
+
+    op = pinch_operator(herm_exp(b))
+    old_checks = [
+        *report.checks,
+        *pinching_checks(op, herm_exp(a)),
+        finite_power_certificate(old_a, op.base, 2),
+    ]
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    write_matrix(pa, a)
+    write_matrix(pb, b)
+    rc = main(["check", str(pa), str(pb)])
+    cert = json.loads(capsys.readouterr().out)
+    assert rc == (0 if all(c.passed for c in old_checks) else 1)
+    assert [(c["name"], c["passed"]) for c in cert["checks"]] == [
+        (c.name, c.passed) for c in old_checks
+    ]
+
+
+def test_exp_decompositions_match_the_dense_route_in_a_stack():
+    mats = [random_hermitian(3, s).mat for s in (20, 21, 22)]
+    mats += [_rotated([1.0, 1.0, 2.0], 1).mat, _rotated([-3.0, -3.0 + 9e-8, 1.0], 23).mat]
+    a = HermitianMatrix(np.stack(mats))
+    b = HermitianMatrix(np.stack(mats[::-1]))
+    report = gt_check(a, b)
+    _assert_same_decomposition(report.exp_a, decompose(herm_exp(a)))
+    _assert_same_decomposition(report.exp_b, decompose(herm_exp(b)))
+    for i, (ai, bi) in enumerate(zip(a.mat, b.mat)):
+        single = gt_check(HermitianMatrix(ai), HermitianMatrix(bi))
+        npt.assert_array_equal(report.exp_a.labels[i], single.exp_a.labels)
+        npt.assert_array_equal(report.exp_b.labels[i], single.exp_b.labels)
