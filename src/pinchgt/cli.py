@@ -115,7 +115,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     checks = [
         *report.checks,
         *pinching_checks(PinchOperator(report.exp_b), report.exp_a.source, policy),
-        finite_power_certificate(report.exp_a, report.exp_b, args.m, policy),
+        finite_power_certificate(report, args.m, policy),
     ]
 
     all_passed = all(c.passed for c in checks)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import HermitianMatrix
-from .errors import DimensionMismatch, NonRealTrace
+from .errors import DimensionMismatch, DomainError, NonRealTrace
 from .functions import _exp_decomposition, apply_to_decomposition, herm_log
 from .pinching import PinchOperator, pinch
 from .policy import (
@@ -38,8 +38,10 @@ from .policy import (
     TRACE_IMAG_TOL,
     Check,
     NumericPolicy,
+    at_index,
     batch_result,
     bilinear_scale,
+    first_failure,
     frobenius,
 )
 from .spectral import SpectralDecomposition, decompose, eigvals, require_positive_definite
@@ -56,14 +58,26 @@ __all__ = [
 ]
 
 
-def _logsumexp(w: np.ndarray) -> float:
+def _log_trace_exp(h: HermitianMatrix) -> float:
+    """log tr exp(H) from the eigenvalues of H, stable against overflow."""
+    w = eigvals(h)
     m = float(np.max(w))
     return m + math.log(float(np.sum(np.exp(w - m))))
 
 
-def _log_trace_exp(h: HermitianMatrix) -> float:
-    """log tr exp(H) from the eigenvalues of H, stable against overflow."""
-    return _logsumexp(eigvals(h))
+def _trace_product(x: np.ndarray, y: np.ndarray):
+    """tr(XY) for Hermitian X and Y, or one per pair of a stack; the trace is real.
+
+    Raises NonRealTrace when its imaginary part exceeds rounding.
+    """
+    t = np.trace(x @ y, axis1=-2, axis2=-1)
+    bad = first_failure(np.abs(t.imag) > TRACE_IMAG_TOL * bilinear_scale(x, y))
+    if bad is not None:
+        raise NonRealTrace(
+            f"tr(AB) has imaginary residue {np.asarray(t.imag)[bad]:.3e} "
+            f"beyond tolerance{at_index(bad)}"
+        )
+    return t.real
 
 
 @dataclass(frozen=True)
@@ -97,17 +111,25 @@ def gt_check(
 ) -> GTReport:
     """Evaluate tr exp(A+B) vs tr(exp A exp B) for a Hermitian pair.
 
-    Neither operand needs to be positive definite. `holds` allows the gap
-    a relative slack of GT_GAP_TOL; `commuting` flags pairs whose
-    commutator vanishes to working precision, for which the two sides
-    agree exactly. Stacks of A and B are checked pair by pair.
+    Neither operand needs to be positive definite, but both sides must be
+    finite doubles: a pair whose sides overflow raises DomainError.
+    `holds` allows the gap a relative slack of GT_GAP_TOL; `commuting`
+    flags pairs whose commutator vanishes to working precision, for which
+    the two sides agree exactly. Stacks of A and B are checked pair by pair.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    lhs = np.sum(np.exp(eigvals(a.mat + b.mat)), axis=-1)
     ea = _exp_decomposition(decompose(a, policy), policy)
     eb = _exp_decomposition(decompose(b, policy), policy)
-    rhs = np.trace(ea.source.mat @ eb.source.mat, axis1=-2, axis2=-1).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = np.sum(np.exp(eigvals(a.mat + b.mat)), axis=-1)
+        rhs = _trace_product(ea.source.mat, eb.source.mat)
+    bad = first_failure(~(np.isfinite(lhs) & np.isfinite(rhs)))
+    if bad is not None:
+        raise DomainError(
+            f"tr exp(A+B) = {np.asarray(lhs)[bad]:.6e} and tr(exp A exp B) = "
+            f"{np.asarray(rhs)[bad]:.6e} must both be finite{at_index(bad)}"
+        )
     gap = rhs - lhs
     gap_tol = GT_GAP_TOL * (np.abs(lhs) + np.abs(rhs))
     checks = (Check("golden_thompson_gap", lhs - rhs, gap_tol),)
@@ -148,40 +170,6 @@ class ChainTrace:
     full_matrix_tier: bool
 
 
-def _log_trace_product(a: HermitianMatrix, b: HermitianMatrix) -> float:
-    """log tr(AB) for PD operands; the trace is real and positive."""
-    t = complex(np.trace(a.mat @ b.mat))
-    if abs(t.imag) > TRACE_IMAG_TOL * bilinear_scale(a.mat, b.mat):
-        raise NonRealTrace(
-            f"tr(AB) has imaginary residue {t.imag:.3e} beyond tolerance"
-        )
-    return math.log(t.real)
-
-
-def _require_power(m: int) -> None:
-    if m < 1:
-        raise ValueError(f"power must be a positive integer, got {m}")
-
-
-def _pd_pair_terms(
-    dec_a: SpectralDecomposition, dec_b: SpectralDecomposition, policy: NumericPolicy
-) -> tuple[np.ndarray, float]:
-    """The power-independent terms of the chain and the certificate for a PD pair.
-
-    Returns the eigenvalues of log A + log B and log tr(AB).
-    """
-    if dec_a.source_dim != dec_b.source_dim:
-        raise DimensionMismatch(
-            f"dimensions differ: {dec_a.source_dim} vs {dec_b.source_dim}"
-        )
-    require_positive_definite(dec_a, policy, what="first operand")
-    require_positive_definite(dec_b, policy, what="second operand")
-    log_a = apply_to_decomposition(np.log, dec_a)
-    log_b = apply_to_decomposition(np.log, dec_b)
-    w = eigvals(log_a + log_b)
-    return w, _log_trace_product(dec_a.source, dec_b.source)
-
-
 def chain_trace(
     a: HermitianMatrix,
     b: HermitianMatrix,
@@ -206,12 +194,17 @@ def _chain_rows(
     policy: NumericPolicy,
     cap: int,
 ) -> list[ChainTrace]:
-    """Chain rows at the powers ms, with A and B decomposed once and the
-    power-independent s0 and target computed once."""
+    """Chain rows at the powers ms, with the PD pair A, B decomposed once and
+    the power-independent s0 and target computed once."""
     dec_a, dec_b = decompose(a, policy), decompose(b, policy)
-    _require_power(min(ms))
-    w, target = _pd_pair_terms(dec_a, dec_b, policy)
-    s0 = _logsumexp(w)
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
+    require_positive_definite(dec_a, policy, what="first operand")
+    require_positive_definite(dec_b, policy, what="second operand")
+    log_a = apply_to_decomposition(np.log, dec_a)
+    log_b = apply_to_decomposition(np.log, dec_b)
+    s0 = _log_trace_exp(log_a + log_b)
+    target = math.log(_trace_product(a.mat, b.mat))
     rows = []
     for m in ms:
         spectrum = count_distinct_spectrum(dec_a, m, policy)
@@ -296,23 +289,17 @@ def convergence_study(
 
 
 def finite_power_certificate(
-    dec_a: SpectralDecomposition,
-    dec_b: SpectralDecomposition,
-    m: int,
-    policy: NumericPolicy = DEFAULT_POLICY,
+    report: GTReport, m: int, policy: NumericPolicy = DEFAULT_POLICY
 ) -> Check:
-    """Finite-m certificate: tr exp(log A + log B) <= N_m^(1/m) tr(AB).
+    """Finite-m certificate: tr exp(A+B) <= N_m^(1/m) tr(exp A exp B).
 
-    Takes the decompositions of the PD pair A, B. N_m is the
-    distinct-spectrum count of the m-th tensor power of A; the residual is
-    lhs - rhs. The certificate's m -> infinity limit is the trace
-    inequality itself; fed exp A and exp B (always PD) for arbitrary
-    Hermitian A, B, that limit is tr exp(A+B) <= tr(exp A exp B). Never
+    Reads both sides from the GTReport of one Hermitian pair. N_m is the
+    distinct-spectrum count of the m-th tensor power of exp A; the residual
+    is lhs - rhs. The certificate's m -> infinity limit is the trace
+    inequality itself. For a PD pair A, B, the report of gt_check(log A,
+    log B) certifies tr exp(log A + log B) <= N_m^(1/m) tr(AB). Never
     materializes tensor powers.
     """
-    _require_power(m)
-    w, target = _pd_pair_terms(dec_a, dec_b, policy)
-    spectrum = count_distinct_spectrum(dec_a, m, policy)
-    lhs = float(np.sum(np.exp(w)))
-    rhs = spectrum.distinct_count ** (1.0 / m) * math.exp(target)
+    spectrum = count_distinct_spectrum(report.exp_a, m, policy)
+    lhs, rhs = report.lhs, spectrum.distinct_count ** (1.0 / m) * report.rhs
     return Check("finite_power_certificate", lhs - rhs, GT_GAP_TOL * (abs(lhs) + abs(rhs)))

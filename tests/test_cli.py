@@ -179,6 +179,8 @@ def test_bad_inputs_exit_2(tmp_path, pair, capsys):
     assert main(["chain", pa, pb, "--m", "3,2"]) == 2
     assert main(["chain", pa, pb, "--m", "1,x"]) == 2
     assert main(["chain", pa, pb, "--m", "0"]) == 2
+    assert main(["check", pa, pb, "--m", "0"]) == 2
+    assert capsys.readouterr().err.endswith("error: power must be a positive integer, got 0\n")
     assert main(["random-suite", "--trials", "0"]) == 2
     assert main(["random-suite", "--dims", "5..2"]) == 2
     assert main(["random-suite", "--dims", "a..b"]) == 2
@@ -192,7 +194,9 @@ def test_bad_inputs_exit_2(tmp_path, pair, capsys):
 
 def test_overflowing_input_exits_2(tmp_path, pair, capsys):
     """Finite entries whose symmetrization overflows, and integer entries
-    beyond the float range, are refused as non-finite."""
+    beyond the float range, are refused as non-finite. A pair whose trace
+    inequality sides overflow the double range is refused by check with
+    one error line and no warning (tier-1 runs warnings as errors)."""
     _, pb, _, _ = pair
     big = tmp_path / "big.json"
     big.write_text(json.dumps({"dim": 2, "re": [[1e308, 0.0], [0.0, 1.0]]}))
@@ -204,6 +208,32 @@ def test_overflowing_input_exits_2(tmp_path, pair, capsys):
             assert capsys.readouterr().err.endswith(
                 "error: matrix entries must be finite (no NaN/inf)\n"
             )
+    for top in (400.0, 360.0):
+        sides = tmp_path / f"sides{top:g}.json"
+        write_matrix(sides, construct_hermitian(np.diag([top, top - 1.0])))
+        assert main(["check", str(sides), str(sides)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: tr exp(A+B) = inf and tr(exp A exp B) = inf must both be finite\n"
+        )
+    # both sides near e^400 stay finite
+    sides = tmp_path / "sides200.json"
+    write_matrix(sides, construct_hermitian(np.diag([200.0, 199.0])))
+    assert main(["check", str(sides), str(sides)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("b", [[[-11.0, 0.0], [0.0, 10.0]], [[-25.0, 0.3], [0.3, 0.0]]])
+def test_wide_second_operand_is_certified(tmp_path, b, capsys):
+    """exp B's spectrum may span more than the positivity floor resolves:
+    the certificate gates positivity only on exp A, whose tensor power it
+    counts."""
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    write_matrix(pa, construct_hermitian(np.array([[1.0, 0.5], [0.5, -1.0]])))
+    write_matrix(pb, construct_hermitian(np.array(b)))
+    assert main(["check", str(pa), str(pb)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
 
 
 def test_random_suite_seed_out_of_key_range_exits_2(capsys):
@@ -269,12 +299,13 @@ def calls(monkeypatch):
 
 def test_one_pass_per_certificate(pair, capsys, calls):
     """A check op decomposes A and B once each, takes exp A and exp B from
-    those decompositions, takes eigenvalues only of A + B, of log exp A +
-    log exp B and twice in the pinching checks, and pinches exp A once; a
-    random-suite trial pinches its operand once."""
+    those decompositions, takes eigenvalues only of A + B and twice in the
+    pinching checks, and pinches exp A once; the finite-power certificate
+    reads its sides from the Golden-Thompson report. A random-suite trial
+    pinches its operand once."""
     pa, pb, _, _ = pair
     assert main(["check", pa, pb]) == 0
-    assert calls == {"eigh": 2, "eigvals": 4, "pinch": 1}
+    assert calls == {"eigh": 2, "eigvals": 3, "pinch": 1}
     calls.update(eigh=0, eigvals=0, pinch=0)
     assert main(["random-suite", "--dims", "3", "--trials", "1"]) == 0
     assert calls["pinch"] == 1
@@ -294,12 +325,17 @@ def test_one_decomposition_per_chain_study(pair, capsys, calls):
 
 
 def test_non_real_trace_exits_2(pair, capsys, monkeypatch):
-    """The guard on tr(AB) is an input error (exit 2), not a violation."""
+    """The guard on tr(AB) is an input error (exit 2), not a violation; it
+    covers tr(exp A exp B) in check and tr(AB) in chain."""
     real_trace = np.trace
-    monkeypatch.setattr(np, "trace", lambda m: real_trace(m) + 1j)
+    monkeypatch.setattr(np, "trace", lambda m, *args, **kwargs: real_trace(m, *args, **kwargs) + 1j)
     pa, pb, _, _ = pair
     assert main(["chain", pa, pb, "--m", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: tr(AB) has imaginary residue")
+    assert main(["check", pa, pb]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tr(AB) has imaginary residue")
 
 
 def test_chain_cap_above_dim_cap_exits_2(pair, capsys):
@@ -387,8 +423,8 @@ FROZEN_CERTIFICATE = """\
     {
       "name": "finite_power_certificate",
       "passed": true,
-      "residual": -87.48579042363814,
-      "tolerance": 3.117275025420882e-07
+      "residual": -87.48579042363811,
+      "tolerance": 3.1172750254208837e-07
     }
   ],
   "verdict": "pass"

@@ -6,9 +6,11 @@ import numpy.testing as npt
 import pytest
 
 from pinchgt import (
+    Check,
     DimensionMismatch,
     HermitianMatrix,
     NotPositiveDefinite,
+    apply_to_decomposition,
     binomial_bound,
     chain_checks,
     chain_trace,
@@ -19,6 +21,7 @@ from pinchgt import (
     finite_power_certificate,
     gt_check,
     herm_exp,
+    herm_log,
     identity,
     pinch_operator,
     pinching_checks,
@@ -29,6 +32,7 @@ from pinchgt import (
     write_matrix,
 )
 from pinchgt.cli import main
+from pinchgt.policy import GT_GAP_TOL
 
 # ---------------------------------------------------------------- oracles --
 # Everything below uses plain numpy on raw arrays, none of the library's
@@ -234,12 +238,28 @@ def o_certificate_sides(a, b, m):
     return lhs, n_m ** (1.0 / m) * np.trace(a.mat @ b.mat).real
 
 
+def o_dense_certificate(dec_a, dec_b, m):
+    """The certificate by its own dense route, from the decompositions of a PD pair:
+    tr exp(log A + log B) from the logs of both decompositions and eigvalsh,
+    against N_m(A)^(1/m) tr(AB)."""
+    log_sum = apply_to_decomposition(np.log, dec_a) + apply_to_decomposition(np.log, dec_b)
+    lhs = float(np.sum(np.exp(np.linalg.eigvalsh(log_sum.mat))))
+    n_m = count_distinct_spectrum(dec_a, m).distinct_count
+    rhs = n_m ** (1.0 / m) * np.trace(dec_a.source.mat @ dec_b.source.mat).real
+    return Check("finite_power_certificate", lhs - rhs, GT_GAP_TOL * (abs(lhs) + abs(rhs)))
+
+
+def pd_report(a, b):
+    """The GTReport that certifies the PD pair A, B: sides tr exp(log A + log B) and tr(AB)."""
+    return gt_check(herm_log(a), herm_log(b))
+
+
 def test_finite_power_certificate():
     for seed in range(10):
         dim = 2 + seed % 4
         a = random_pd(dim, seed + 900)
         b = random_pd(dim, seed + 901)
-        c = finite_power_certificate(decompose(a), decompose(b), 3)
+        c = finite_power_certificate(pd_report(a, b), 3)
         lhs, rhs = o_certificate_sides(a, b, 3)
         assert lhs <= rhs * (1.0 + 1e-9)
         assert c.residual == pytest.approx(lhs - rhs, rel=1e-9)
@@ -249,10 +269,11 @@ def test_finite_power_certificate():
 def test_certificate_tightens_with_power():
     a = random_pd(3, 77)
     b = random_pd(3, 78)
+    report = pd_report(a, b)
     gaps = []
     for m in (1, 2, 4, 8):
         lhs, rhs = o_certificate_sides(a, b, m)
-        gaps.append(-finite_power_certificate(decompose(a), decompose(b), m).residual)
+        gaps.append(-finite_power_certificate(report, m).residual)
         assert lhs <= rhs * (1.0 + 1e-9)
     assert gaps[-1] < gaps[0]
 
@@ -262,16 +283,28 @@ def test_certify_arbitrary_hermitian():
         dim = 2 + seed % 4
         a = random_hermitian(dim, seed)
         b = random_hermitian(dim, seed + 5000)
-        c = finite_power_certificate(decompose(herm_exp(a)), decompose(herm_exp(b)), 2)
+        c = finite_power_certificate(gt_check(a, b), 2)
         assert c.passed
+        old = o_dense_certificate(decompose(herm_exp(a)), decompose(herm_exp(b)), 2)
+        assert c.residual == pytest.approx(old.residual, rel=1e-9)
 
 
 def test_certificate_scale_invariance():
     a = random_pd(3, 21)
     b = random_pd(3, 22)
-    assert finite_power_certificate(
-        decompose(scale(100.0, a)), decompose(scale(0.01, b)), 2
-    ).passed
+    assert finite_power_certificate(pd_report(scale(100.0, a), scale(0.01, b)), 2).passed
+
+
+def test_certificate_reads_the_report():
+    """The residual is lhs - N_m^(1/m) rhs of the report, bit for bit, with
+    N_m counted on the report's exp A."""
+    for seed in range(6):
+        dim = 2 + seed % 4
+        report = gt_check(random_hermitian(dim, seed + 60), random_hermitian(dim, seed + 70))
+        for m in (1, 2, 3):
+            n_m = count_distinct_spectrum(report.exp_a, m).distinct_count
+            c = finite_power_certificate(report, m)
+            assert c.residual == report.lhs - n_m ** (1.0 / m) * report.rhs
 
 
 # ------------------------------------- exp decompositions, against eigh --
@@ -326,7 +359,7 @@ def test_exp_decompositions_match_the_dense_route(name, tmp_path, capsys):
     old_checks = [
         *report.checks,
         *pinching_checks(op, herm_exp(a)),
-        finite_power_certificate(old_a, op.base, 2),
+        o_dense_certificate(old_a, op.base, 2),
     ]
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
     write_matrix(pa, a)
