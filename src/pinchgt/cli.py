@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .core import random_hermitian, random_pd, random_psd
-from .errors import PinchError
+from .errors import DomainError, PinchError
 from .matrixio import load_matrix, matrix_digest
 from .pinching import PinchOperator, pinch_operator, pinching_checks
 from .policy import NumericPolicy
@@ -117,6 +117,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         *pinching_checks(PinchOperator(report.exp_b), report.exp_a.source, policy),
         finite_power_certificate(report, args.m, policy),
     ]
+    bad = next((c for c in checks if not np.isfinite([c.residual, c.tolerance]).all()), None)
+    if bad is not None:
+        raise DomainError(
+            f"{bad.name} is not finite: residual {bad.residual:.6e}, tolerance {bad.tolerance:.6e}"
+        )
 
     all_passed = all(c.passed for c in checks)
     certificate = {

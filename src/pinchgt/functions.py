@@ -3,16 +3,17 @@
 exp and log are computed as sum_i f(lambda_i) P_i on the *clustered*
 decomposition rather than by scaling-and-squaring: the decomposition is
 already required by the pinching machinery, and this keeps exp/log exactly
-consistent with the projectors used elsewhere.
+consistent with the projectors used elsewhere. exp A keeps A's clusters.
 """
+
+import dataclasses
 
 import numpy as np
 
 from .core import HermitianMatrix
 from .errors import DomainError
 from .policy import DEFAULT_POLICY, NumericPolicy
-from .spectral import SpectralDecomposition, decompose, require_positive_definite
-from .spectral import _cluster, _synthesize
+from .spectral import SpectralDecomposition, _synthesize, decompose, require_positive_definite
 
 __all__ = [
     "apply_to_decomposition",
@@ -42,15 +43,17 @@ def _column_values(dec: SpectralDecomposition, values: np.ndarray) -> np.ndarray
     return dec.column_weights(values)
 
 
-def _exp_decomposition(dec: SpectralDecomposition, policy: NumericPolicy) -> SpectralDecomposition:
-    """exp A from the decomposition of A: A's basis, exp of its values, clustered again."""
-    w = _column_values(dec, np.exp(dec.eigenvalues))
-    return _cluster(_synthesize(dec.vectors, w), w, dec.vectors, policy)
+def _exp_decomposition(dec: SpectralDecomposition) -> SpectralDecomposition:
+    """exp A from the decomposition of A: A's basis and clusters, exp of its cluster means."""
+    with np.errstate(over="ignore"):  # _column_values reports an overflow as DomainError
+        values = np.exp(dec.eigenvalues)
+    w = _column_values(dec, values)
+    return dataclasses.replace(dec, source=_synthesize(dec.vectors, w), eigenvalues=values)
 
 
 def herm_exp(a: HermitianMatrix, policy: NumericPolicy = DEFAULT_POLICY) -> HermitianMatrix:
-    """Matrix exponential of a Hermitian matrix; always positive definite."""
-    return _exp_decomposition(decompose(a, policy), policy).source
+    """Matrix exponential of a Hermitian matrix; positive definite unless exp underflows to 0."""
+    return _exp_decomposition(decompose(a, policy)).source
 
 
 def herm_log(a: HermitianMatrix, policy: NumericPolicy = DEFAULT_POLICY) -> HermitianMatrix:

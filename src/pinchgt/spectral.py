@@ -2,10 +2,10 @@
 
 The decomposition A = sum_i lambda_i P_i over *distinct* eigenvalues is the
 backbone of the pinching map and of all matrix functions here. Numerically
-"distinct" is defined by gap-based clustering: adjacent eigenvalues merge,
-transitively, while their gap stays within ``cluster_tol * max(1, spectral
-radius)``. Tensor powers create many near-coincident products, so the
-clustering rule is load-bearing, not cosmetic.
+"distinct" is defined by gap-based clustering in :func:`decompose` alone:
+adjacent eigenvalues merge, transitively, while their gap stays within
+``cluster_tol * max(1, spectral radius)``. Tensor powers create many
+near-coincident products, so the clustering rule is load-bearing.
 """
 
 from dataclasses import dataclass
@@ -71,15 +71,15 @@ def eigvals(a) -> np.ndarray:
 class SpectralDecomposition:
     """A = sum_i lambda_i P_i over the n distinct (clustered) eigenvalues.
 
-    ``eigenvalues`` holds the strictly increasing cluster representatives
-    (means of the clustered raw eigenvalues) and ``multiplicities`` the
-    cluster sizes. ``vectors`` is the orthonormal eigenbasis with cluster i
-    occupying a contiguous block of columns; P_i is V_i V_i† for that block,
-    and ``labels`` gives the cluster index i of every column.
-    No projector is ever materialized, so a high-dimensional decomposition
-    with many clusters costs eigenvector storage, never n projector matrices.
-    ``source`` is the decomposed matrix itself, kept for callers that need
-    both the matrix and its spectrum.
+    ``eigenvalues`` holds the strictly increasing cluster representatives,
+    the means of the clustered raw eigenvalues (for exp A, exp of A's means),
+    and ``multiplicities`` the cluster sizes. ``vectors`` is the orthonormal
+    eigenbasis with cluster i occupying a contiguous block of columns; P_i
+    is V_i V_i† for that block, and ``labels`` gives the cluster index i of
+    every column. No projector is ever materialized, so a high-dimensional
+    decomposition with many clusters costs eigenvector storage, never n
+    projector matrices. ``source`` is the decomposed matrix itself, kept for
+    callers that need both the matrix and its spectrum.
 
     For a stack, ``vectors`` is ``(..., d, d)`` and ``labels`` ``(..., d)``,
     with cluster indices counted within each matrix, and ``n`` is an array
@@ -129,11 +129,7 @@ def decompose(
     error for the multiplicity-weighted sum). A stack is clustered per
     matrix, all matrices at once.
     """
-    return _cluster(a, *eigh(a, policy), policy)
-
-
-def _cluster(a: HermitianMatrix, w: np.ndarray, v: np.ndarray, policy: NumericPolicy):
-    """decompose's clustering, for `a` with ascending eigenvalues w and eigenbasis v."""
+    w, v = eigh(a, policy)
     radius = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
     gap = policy.cluster_tol * np.maximum(1.0, radius)
     # a column starts a cluster when it is the first or its gap exceeds `gap`

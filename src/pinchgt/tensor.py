@@ -15,9 +15,9 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .core import HermitianMatrix
-from .errors import SizeOverflow
+from .errors import NotPositiveDefinite, SizeOverflow
 from .policy import DEFAULT_POLICY, NumericPolicy
-from .spectral import SpectralDecomposition, require_positive_definite
+from .spectral import SpectralDecomposition
 
 __all__ = [
     "DIM_CAP",
@@ -93,12 +93,13 @@ def count_distinct_spectrum(
     eigenvalues, sums their logs, and clusters the sums with absolute
     tolerance ``m * cluster_tol`` (products compound error multiplicatively,
     so the log-domain tolerance scales with m). The d^m matrix is never
-    formed.
+    formed. The base eigenvalues need only be > 0, where log is defined.
     """
     if m < 1:
         raise ValueError(f"power must be a positive integer, got {m}")
-    # the sums below are taken in the log domain
-    require_positive_definite(dec, policy, what="tensor-power base")
+    lo = dec.eigenvalues[0]  # the sums below are taken in the log domain
+    if not lo > 0:
+        raise NotPositiveDefinite(f"tensor-power base eigenvalue {lo:.6e} is outside log's domain")
     n = dec.n
     exact_bound, log_bound = binomial_bound(m, n)
     if exact_bound > _ENUMERATION_CAP:

@@ -88,7 +88,7 @@ class GTReport:
     pair, the ``commuting_equality`` check that the two sides agree; in a
     stack it is present when any pair commutes, and its tolerance is
     infinite at the pairs that do not. ``exp_a`` and ``exp_b`` decompose the
-    two factors of ``rhs`` in A's and B's eigenbases, with the matrices at
+    two factors of ``rhs`` on A's and B's clusters, with the matrices at
     ``.source``. For a stack, the numbers are arrays over the batch.
     """
 
@@ -119,8 +119,8 @@ def gt_check(
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    ea = _exp_decomposition(decompose(a, policy), policy)
-    eb = _exp_decomposition(decompose(b, policy), policy)
+    ea = _exp_decomposition(decompose(a, policy))
+    eb = _exp_decomposition(decompose(b, policy))
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = np.sum(np.exp(eigvals(a.mat + b.mat)), axis=-1)
         rhs = _trace_product(ea.source.mat, eb.source.mat)

@@ -29,6 +29,7 @@ from pinchgt import (
     random_pd,
     random_psd,
     random_unitary,
+    write_matrix,
 )
 from pinchgt.cli import main
 
@@ -247,4 +248,32 @@ def test_non_hermitian_input_is_rejected(tmp_path):
         ok,
         f"constructor rejected={constructor_rejected}, "
         f"cli exits=({code_a}, {code_b})",
+    )
+
+
+@pytest.mark.parametrize("d, seeds", [(32, range(5)), (128, (0, 4))])
+def test_one_clustering_per_operand(tmp_path, d, seeds):
+    """On the library's own wide-spectrum pairs, e^A and e^B keep the
+    clusters of A and B bit for bit, and check certifies the pair."""
+    import json
+
+    pa, pb, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "cert.json"
+    results = []
+    for s in seeds:
+        a, b = random_hermitian(d, 2 * s), random_hermitian(d, 2 * s + 1)
+        report = gt_check(a, b)
+        kept = all(
+            np.array_equal(e.labels, decompose(x).labels)
+            for e, x in ((report.exp_a, a), (report.exp_b, b))
+        )
+        write_matrix(pa, a)
+        write_matrix(pb, b)
+        rc = main(["check", str(pa), str(pb), "--out", str(out)])
+        verdict = json.loads(out.read_text())["verdict"] if rc != 2 else None
+        results.append((s, kept, rc, verdict))
+    ok = all(kept and rc == 0 and verdict == "pass" for _, kept, rc, verdict in results)
+    _verdict(
+        "one_clustering_per_operand",
+        ok,
+        f"d={d}, (seed, clusters kept, exit, verdict): {results}",
     )

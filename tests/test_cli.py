@@ -192,11 +192,21 @@ def test_bad_inputs_exit_2(tmp_path, pair, capsys):
     capsys.readouterr()
 
 
+def write_pair(tmp_path, a, b):
+    """Paths of the 2-D arrays a and b written as matrix files."""
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    write_matrix(pa, construct_hermitian(np.array(a, dtype=float)))
+    write_matrix(pb, construct_hermitian(np.array(b, dtype=float)))
+    return str(pa), str(pb)
+
+
 def test_overflowing_input_exits_2(tmp_path, pair, capsys):
     """Finite entries whose symmetrization overflows, and integer entries
     beyond the float range, are refused as non-finite. A pair whose trace
-    inequality sides overflow the double range is refused by check with
-    one error line and no warning (tier-1 runs warnings as errors)."""
+    inequality sides overflow the double range, an e^A that overflows, and
+    an e^A that underflows to 0, where the spectrum count has no log, are
+    refused by check with one error line and no warning (tier-1 runs
+    warnings as errors)."""
     _, pb, _, _ = pair
     big = tmp_path / "big.json"
     big.write_text(json.dumps({"dim": 2, "re": [[1e308, 0.0], [0.0, 1.0]]}))
@@ -222,18 +232,49 @@ def test_overflowing_input_exits_2(tmp_path, pair, capsys):
     write_matrix(sides, construct_hermitian(np.diag([200.0, 199.0])))
     assert main(["check", str(sides), str(sides)]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+    for top, err in [
+        (800.0, "error: function not finite at eigenvalue(s) [800.]\n"),
+        (-800.0, "error: tensor-power base eigenvalue 0.000000e+00 is outside log's domain\n"),
+    ]:
+        assert main(["check", *write_pair(tmp_path, np.diag([top, 0.0]), np.zeros((2, 2)))]) == 2
+        assert capsys.readouterr() == ("", err)
 
 
-@pytest.mark.parametrize("b", [[[-11.0, 0.0], [0.0, 10.0]], [[-25.0, 0.3], [0.3, 0.0]]])
-def test_wide_second_operand_is_certified(tmp_path, b, capsys):
-    """exp B's spectrum may span more than the positivity floor resolves:
-    the certificate gates positivity only on exp A, whose tensor power it
-    counts."""
-    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-    write_matrix(pa, construct_hermitian(np.array([[1.0, 0.5], [0.5, -1.0]])))
-    write_matrix(pb, construct_hermitian(np.array(b)))
-    assert main(["check", str(pa), str(pb)]) == 0
-    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+@pytest.mark.parametrize(
+    "a, b",
+    [([0.0, 0.0], [0.0, 400.0]), ([400.0, 0.0], [0.0, 400.0]), ([-700.0, 700.0], [0.0, 0.0])],
+)
+def test_non_finite_certificate_exits_2(tmp_path, a, b, capsys):
+    """A check whose residual or tolerance is not finite decides nothing, so
+    check refuses the certificate with one error line. Here the Frobenius
+    norm of an entry above about 1.34e154 overflows, with a warning."""
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["check", *write_pair(tmp_path, np.diag(a), np.diag(b))]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: pinch_commutes_with_base is not finite: residual 0.000000e+00, tolerance inf\n",
+    )
+
+
+NARROW = [[1.0, 0.5], [0.5, -1.0]]
+
+
+@pytest.mark.parametrize(
+    "b, partner",
+    [
+        ([[-11.0, 0.0], [0.0, 10.0]], NARROW),
+        ([[-25.0, 0.3], [0.3, 0.0]], NARROW),
+        ([[-300.0, 0.0], [0.0, 0.0]], np.zeros((2, 2))),
+    ],
+    ids=["b0", "b1", "b2"],
+)
+def test_wide_second_operand_is_certified(tmp_path, b, partner, capsys):
+    """The spectrum of exp B, or of exp A, may span more than the positivity
+    floor resolves: the count of exp A's tensor power needs only log to be
+    defined. The wide matrix is tried as B and as A."""
+    for pair in ((partner, b), (b, partner)):
+        assert main(["check", *write_pair(tmp_path, *pair)]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
 
 
 def test_random_suite_seed_out_of_key_range_exits_2(capsys):

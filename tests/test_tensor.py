@@ -114,6 +114,9 @@ def test_count_requires_positive_definite():
     dec = decompose(construct_hermitian(np.diag([1.0, -2.0])))
     with pytest.raises(NotPositiveDefinite):
         count_distinct_spectrum(dec, 2)
+    # positive is enough: log's domain, not the resolvable floor psd_floor
+    tiny = decompose(construct_hermitian(np.diag([1e-12, 1e4])))
+    assert count_distinct_spectrum(tiny, 2).distinct_count == 3
 
 
 def test_count_enumeration_cap():
