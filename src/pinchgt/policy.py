@@ -4,7 +4,8 @@
 the CLI's ``--tol-*`` flags). The module constants below are the fixed
 relative tolerances of the certificate checks; each is scaled by the size
 of the operands it judges, as its comment says. A ``Check`` records one such
-decision with its residual and tolerance.
+decision with its residual and tolerance, and refuses numbers that are not
+finite, since such a comparison decides nothing.
 
 Every layer follows numpy's stacked convention: an array of shape
 ``(..., d, d)`` holds one matrix per index of its leading batch axes, and a
@@ -14,9 +15,11 @@ a stack; :func:`batch_result`, :func:`frobenius` and :func:`first_failure`
 are the helpers every layer shares for that.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
+
+from .errors import DomainError
 
 # the commutator norm, and the weighted-trace change under pinching, times
 # bilinear_scale: both residuals are bilinear in the two operands
@@ -77,7 +80,8 @@ class Check:
 
     For a stack, ``residual`` and ``tolerance`` are arrays over the batch
     and ``passed`` is a boolean array; for a single matrix all three are
-    Python scalars.
+    Python scalars. A residual or tolerance that is not finite raises
+    DomainError naming the first such matrix.
     """
 
     name: str
@@ -85,6 +89,13 @@ class Check:
     tolerance: float
 
     def __post_init__(self):
+        bad = first_failure(~(np.isfinite(self.residual) & np.isfinite(self.tolerance)))
+        if bad is not None:
+            residual, tolerance = np.broadcast_arrays(self.residual, self.tolerance)
+            raise DomainError(
+                f"{self.name} is not finite: residual {residual[bad]:.6e}, "
+                f"tolerance {tolerance[bad]:.6e}{at_index(bad)}"
+            )
         object.__setattr__(self, "residual", batch_result(self.residual))
         object.__setattr__(self, "tolerance", batch_result(self.tolerance))
 
@@ -125,10 +136,10 @@ class NumericPolicy:
     residual_tol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("herm_tol", "cluster_tol", "psd_tol", "residual_tol"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (isinstance(value, (int, float)) and value > 0):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+                raise ValueError(f"{f.name} must be strictly positive, got {value!r}")
 
     def psd_floor(self, lo, hi):
         """Positivity slack of a spectrum spanning [lo, hi]: psd_tol * max(1, |lo|, |hi|).
@@ -138,12 +149,7 @@ class NumericPolicy:
         return self.psd_tol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
 
     def as_dict(self) -> dict:
-        return {
-            "herm_tol": self.herm_tol,
-            "cluster_tol": self.cluster_tol,
-            "psd_tol": self.psd_tol,
-            "residual_tol": self.residual_tol,
-        }
+        return asdict(self)
 
 
 DEFAULT_POLICY = NumericPolicy()

@@ -94,7 +94,12 @@ def count_distinct_spectrum(
     tolerance ``m * cluster_tol`` (products compound error multiplicatively,
     so the log-domain tolerance scales with m). The d^m matrix is never
     formed. The base eigenvalues need only be > 0, where log is defined.
+    The base is one matrix; a stacked decomposition raises ValueError.
     """
+    if dec.labels.ndim > 1:
+        raise ValueError(
+            f"spectrum count takes one matrix, not a stack of shape {dec.labels.shape[:-1]}"
+        )
     if m < 1:
         raise ValueError(f"power must be a positive integer, got {m}")
     lo = dec.eigenvalues[0]  # the sums below are taken in the log domain

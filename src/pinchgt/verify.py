@@ -86,8 +86,8 @@ class GTReport:
 
     ``checks`` holds the ``golden_thompson_gap`` check and, for a commuting
     pair, the ``commuting_equality`` check that the two sides agree; in a
-    stack it is present when any pair commutes, and its tolerance is
-    infinite at the pairs that do not. ``exp_a`` and ``exp_b`` decompose the
+    stack it is present when any pair commutes, and it passes with residual
+    0 at the pairs that do not. ``exp_a`` and ``exp_b`` decompose the
     two factors of ``rhs`` on A's and B's clusters, with the matrices at
     ``.source``. For a stack, the numbers are arrays over the batch.
     """
@@ -136,7 +136,7 @@ def gt_check(
     commutator = frobenius(a.mat @ b.mat - b.mat @ a.mat)
     commuting = commutator <= COMMUTATION_TOL * bilinear_scale(a.mat, b.mat)
     if np.any(commuting):
-        checks += (Check("commuting_equality", np.abs(gap), np.where(commuting, gap_tol, np.inf)),)
+        checks += (Check("commuting_equality", np.where(commuting, np.abs(gap), 0.0), gap_tol),)
     return GTReport(
         lhs=batch_result(lhs),
         rhs=batch_result(rhs),
@@ -184,48 +184,7 @@ def chain_trace(
     evaluated while d^m <= cap. The spectrum-count bound is combinatorial
     and has no cap.
     """
-    return _chain_rows(a, b, [m], policy, cap)[0]
-
-
-def _chain_rows(
-    a: HermitianMatrix,
-    b: HermitianMatrix,
-    ms: list[int],
-    policy: NumericPolicy,
-    cap: int,
-) -> list[ChainTrace]:
-    """Chain rows at the powers ms, with the PD pair A, B decomposed once and
-    the power-independent s0 and target computed once."""
-    dec_a, dec_b = decompose(a, policy), decompose(b, policy)
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    require_positive_definite(dec_a, policy, what="first operand")
-    require_positive_definite(dec_b, policy, what="second operand")
-    log_a = apply_to_decomposition(np.log, dec_a)
-    log_b = apply_to_decomposition(np.log, dec_b)
-    s0 = _log_trace_exp(log_a + log_b)
-    target = math.log(_trace_product(a.mat, b.mat))
-    rows = []
-    for m in ms:
-        spectrum = count_distinct_spectrum(dec_a, m, policy)
-        full_tier = a.dim**m <= cap
-        s0_tensorized, t_pinched = (
-            _full_tier_terms(a, b, m, policy, cap) if full_tier else (None, None)
-        )
-        rows.append(
-            ChainTrace(
-                m=m,
-                s0=s0,
-                s0_tensorized=s0_tensorized,
-                t_pinched=t_pinched,
-                target=target,
-                bound=target + spectrum.log_count / m,
-                gap_bound=spectrum.log_bound / m,
-                spectrum_count=spectrum.distinct_count,
-                full_matrix_tier=full_tier,
-            )
-        )
-    return rows
+    return convergence_study(a, b, [m], policy, cap)[0]
 
 
 def _full_tier_terms(
@@ -277,15 +236,45 @@ def convergence_study(
 ) -> list[ChainTrace]:
     """One ChainTrace per power, for an ascending list of powers.
 
-    Each row equals ``chain_trace(a, b, m, policy, cap=cap)``; A and B are
-    decomposed once and the power-independent terms computed once.
+    Each row equals ``chain_trace(a, b, m, policy, cap=cap)``. The PD pair
+    A, B is decomposed once and the power-independent s0 and target are
+    computed once.
     """
     ms = [int(m) for m in m_list]
     if not ms:
         raise ValueError("m_list must be non-empty")
     if any(m2 <= m1 for m1, m2 in zip(ms, ms[1:])):
         raise ValueError(f"m_list must be strictly ascending, got {ms}")
-    return _chain_rows(a, b, ms, policy, cap)
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
+    dec_a, dec_b = decompose(a, policy), decompose(b, policy)
+    require_positive_definite(dec_a, policy, what="first operand")
+    require_positive_definite(dec_b, policy, what="second operand")
+    log_a = apply_to_decomposition(np.log, dec_a)
+    log_b = apply_to_decomposition(np.log, dec_b)
+    s0 = _log_trace_exp(log_a + log_b)
+    target = math.log(_trace_product(a.mat, b.mat))
+    rows = []
+    for m in ms:
+        spectrum = count_distinct_spectrum(dec_a, m, policy)
+        full_tier = a.dim**m <= cap
+        s0_tensorized, t_pinched = (
+            _full_tier_terms(a, b, m, policy, cap) if full_tier else (None, None)
+        )
+        rows.append(
+            ChainTrace(
+                m=m,
+                s0=s0,
+                s0_tensorized=s0_tensorized,
+                t_pinched=t_pinched,
+                target=target,
+                bound=target + spectrum.log_count / m,
+                gap_bound=spectrum.log_bound / m,
+                spectrum_count=spectrum.distinct_count,
+                full_matrix_tier=full_tier,
+            )
+        )
+    return rows
 
 
 def finite_power_certificate(

@@ -93,6 +93,31 @@ def test_chain_csv(pair, capsys):
     assert cells[5] == format(ct.bound, ".12g")
 
 
+def test_chain_power_range(pair, capsys):
+    """--m takes the grammar of --dims: a range gives the same run as its list."""
+    pa, pb, _, _ = pair
+    assert main(["chain", pa, pb, "--m", "1..3"]) == 0
+    by_range = capsys.readouterr()
+    assert main(["chain", pa, pb, "--m", "1,2,3"]) == 0
+    assert capsys.readouterr() == by_range
+
+
+@pytest.mark.parametrize("powers", ["3..1", "0..2", "1..x", "", "1..1000000000000"])
+def test_malformed_power_list_exits_2(pair, capsys, powers):
+    """Each is refused with one error line; the last before its range is expanded."""
+    pa, pb, _, _ = pair
+    assert main(["chain", pa, pb, "--m", powers]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: --m [^\n]*\n", captured.err)
+
+
+def test_descending_powers_are_refused_by_the_study(pair, capsys):
+    pa, pb, _, _ = pair
+    assert main(["chain", pa, pb, "--m", "3,2"]) == 2
+    assert capsys.readouterr() == ("", "error: m_list must be strictly ascending, got [3, 2]\n")
+
+
 def test_chain_cap_leaves_columns_empty(pair, capsys):
     pa, pb, _, _ = pair
     assert main(["chain", pa, pb, "--m", "1,2,3", "--cap", "4"]) == 0

@@ -3,9 +3,13 @@ import numpy.testing as npt
 import pytest
 
 from pinchgt import (
+    Check,
     DimensionMismatch,
+    DomainError,
     NotPSD,
+    PinchOperator,
     construct_hermitian,
+    gt_check,
     pinch,
     pinch_operator,
     pinch_via_mixture,
@@ -137,6 +141,28 @@ def test_lower_bound_rejects_indefinite_operand():
     op = pinch_operator(random_pd(2, 4))
     with pytest.raises(NotPSD):
         pinching_checks(op, construct_hermitian(np.diag([1.0, -1.0])))
+
+
+@pytest.mark.parametrize(
+    "residual, tolerance, where",
+    [
+        (1.0, float("inf"), ""),
+        (float("nan"), 1.0, ""),
+        ([0.0, np.nan], [1.0, 1.0], " at stack index 1"),
+    ],
+)
+def test_check_refuses_non_finite_numbers(residual, tolerance, where):
+    with pytest.raises(DomainError, match=f"^x is not finite: residual .*, tolerance .*{where}$"):
+        Check("x", residual, tolerance)
+
+
+def test_pinching_checks_refuse_overflowing_operands():
+    """e^400 overflows the Frobenius norm of the bilinear scale, so the
+    tolerances would be infinite and the checks would pass vacuously."""
+    r = gt_check(construct_hermitian(np.zeros((2, 2))), construct_hermitian(np.diag([0.0, 400.0])))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(DomainError, match="^pinch_commutes_with_base is not finite"):
+            pinching_checks(PinchOperator(r.exp_b), r.exp_a.source)
 
 
 def test_mixture_route_agrees():

@@ -119,6 +119,12 @@ def test_count_requires_positive_definite():
     assert count_distinct_spectrum(tiny, 2).distinct_count == 3
 
 
+def test_count_refuses_a_stack():
+    msg = r"^spectrum count takes one matrix, not a stack of shape \(2,\)$"
+    with pytest.raises(ValueError, match=msg):
+        count_distinct_spectrum(decompose(random_pd(3, [1, 2])), 2)
+
+
 def test_count_enumeration_cap():
     dec = decompose(construct_hermitian(np.diag([1.0, 2.0, 3.0, 5.0])))
     count_distinct_spectrum(dec, 6)  # C(9,3) = 84, fine
