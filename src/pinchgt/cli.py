@@ -131,6 +131,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_chain(args: argparse.Namespace) -> int:
+    if args.cap < 1:
+        raise ValueError(f"--cap must be positive, got {args.cap}")
     if args.cap > DIM_CAP:
         raise ValueError(f"--cap {args.cap} exceeds the dimension cap {DIM_CAP}")
     policy = _policy_from(args)

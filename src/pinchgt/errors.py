@@ -26,7 +26,7 @@ class ConvergenceFailure(PinchError):
 
 
 class DomainError(PinchError):
-    """A scalar function is undefined at an eigenvalue of the operand."""
+    """A function is not finite at an eigenvalue of the operand."""
 
 
 class NotPositiveDefinite(PinchError):

@@ -3,10 +3,9 @@
 exp and log are computed as sum_i f(lambda_i) P_i on the *clustered*
 decomposition rather than by scaling-and-squaring: the decomposition is
 already required by the pinching machinery, and this keeps exp/log exactly
-consistent with the projectors used elsewhere. exp A keeps A's clusters.
+consistent with the projectors used elsewhere. f is called once, on the
+decomposition's per-column ``values``, so exp A keeps A's clusters.
 """
-
-import dataclasses
 
 import numpy as np
 
@@ -25,35 +24,26 @@ __all__ = [
 def apply_to_decomposition(f, dec: SpectralDecomposition) -> HermitianMatrix:
     """sum_i f(lambda_i) P_i for an already-computed decomposition (or a stack).
 
-    `f` is a scalar function, evaluated once per distinct eigenvalue; for a
-    stack, once per distinct eigenvalue of each matrix.
+    `f` is an elementwise array function, called once on ``dec.values``, the
+    array of each column's clustered eigenvalue. A value that is not finite
+    raises DomainError naming the distinct eigenvalues at fault.
     """
-    try:
-        values = np.array([float(f(float(lam))) for lam in dec.eigenvalues])
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise DomainError(f"function undefined at an eigenvalue: {exc}") from exc
-    return _synthesize(dec.vectors, _column_values(dec, values))
+    return _map_spectrum(f, dec).source
 
 
-def _column_values(dec: SpectralDecomposition, values: np.ndarray) -> np.ndarray:
-    """One value per distinct eigenvalue, expanded to one per column; all must be finite."""
-    if not np.isfinite(values).all():
-        bad = dec.eigenvalues[~np.isfinite(values)]
-        raise DomainError(f"function not finite at eigenvalue(s) {bad}")
-    return dec.column_weights(values)
-
-
-def _exp_decomposition(dec: SpectralDecomposition) -> SpectralDecomposition:
-    """exp A from the decomposition of A: A's basis and clusters, exp of its cluster means."""
-    with np.errstate(over="ignore"):  # _column_values reports an overflow as DomainError
-        values = np.exp(dec.eigenvalues)
-    w = _column_values(dec, values)
-    return dataclasses.replace(dec, source=_synthesize(dec.vectors, w), eigenvalues=values)
+def _map_spectrum(f, dec: SpectralDecomposition) -> SpectralDecomposition:
+    """f(A) on A's basis and clusters: its decomposition for a strictly increasing f (exp, log)."""
+    with np.errstate(all="ignore"):  # a non-finite value is reported below
+        values = np.asarray(f(dec.values)).astype(np.float64, casting="same_kind", copy=False)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise DomainError(f"function not finite at eigenvalue(s) {dec.values[bad & dec._starts]}")
+    return SpectralDecomposition(_synthesize(dec.vectors, values), values, dec.vectors, dec.labels)
 
 
 def herm_exp(a: HermitianMatrix, policy: NumericPolicy = DEFAULT_POLICY) -> HermitianMatrix:
     """Matrix exponential of a Hermitian matrix; positive definite unless exp underflows to 0."""
-    return _exp_decomposition(decompose(a, policy)).source
+    return apply_to_decomposition(np.exp, decompose(a, policy))
 
 
 def herm_log(a: HermitianMatrix, policy: NumericPolicy = DEFAULT_POLICY) -> HermitianMatrix:

@@ -71,26 +71,24 @@ def eigvals(a) -> np.ndarray:
 class SpectralDecomposition:
     """A = sum_i lambda_i P_i over the n distinct (clustered) eigenvalues.
 
-    ``eigenvalues`` holds the strictly increasing cluster representatives,
-    the means of the clustered raw eigenvalues (for exp A, exp of A's means),
-    and ``multiplicities`` the cluster sizes. ``vectors`` is the orthonormal
-    eigenbasis with cluster i occupying a contiguous block of columns; P_i
-    is V_i V_i† for that block, and ``labels`` gives the cluster index i of
-    every column. No projector is ever materialized, so a high-dimensional
-    decomposition with many clusters costs eigenvector storage, never n
-    projector matrices. ``source`` is the decomposed matrix itself, kept for
-    callers that need both the matrix and its spectrum.
+    ``vectors`` is the orthonormal eigenbasis with cluster i occupying a
+    contiguous block of columns; P_i is V_i V_i† for that block. ``labels``
+    gives the cluster index i of every column and ``values`` its cluster's
+    representative lambda_i, the mean of the clustered raw eigenvalues (for
+    exp A, exp of A's means). No projector is ever materialized, so a
+    decomposition costs eigenvector storage, never n projector matrices.
+    ``source`` is the decomposed matrix itself.
 
-    For a stack, ``vectors`` is ``(..., d, d)`` and ``labels`` ``(..., d)``,
-    with cluster indices counted within each matrix, and ``n`` is an array
-    of per-matrix counts. ``eigenvalues`` and ``multiplicities`` list the
-    clusters of every matrix in turn (row-major over the batch axes), so
-    they stay one-dimensional.
+    For a stack, ``vectors`` is ``(..., d, d)`` and ``labels`` and ``values``
+    ``(..., d)``, with cluster indices counted within each matrix, and ``n``
+    is an array of per-matrix counts. The derived ``eigenvalues`` (strictly
+    increasing within a matrix) and ``multiplicities`` list the clusters of
+    every matrix in turn (row-major over the batch axes), so they stay
+    one-dimensional.
     """
 
     source: HermitianMatrix
-    eigenvalues: np.ndarray
-    multiplicities: np.ndarray
+    values: np.ndarray
     vectors: np.ndarray
     labels: np.ndarray
 
@@ -103,14 +101,24 @@ class SpectralDecomposition:
         """Number of distinct eigenvalues (per matrix, for a stack)."""
         return batch_result(self.labels[..., -1] + 1)
 
-    def column_weights(self, values) -> np.ndarray:
-        """Expand one value per distinct eigenvalue to one per basis column."""
-        values = np.asarray(values, dtype=np.float64)
-        return np.repeat(values, self.multiplicities).reshape(self.labels.shape)
+    @property
+    def _starts(self) -> np.ndarray:
+        """Mask of the columns that open a cluster, shaped like ``labels``."""
+        return np.diff(self.labels, prepend=-1) > 0
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """The cluster representatives, one per distinct eigenvalue."""
+        return self.values[self._starts]
+
+    @property
+    def multiplicities(self) -> np.ndarray:
+        """The cluster sizes, in the order of ``eigenvalues``."""
+        return np.diff(np.flatnonzero(self._starts), append=self.labels.size)
 
     def reconstruct(self) -> HermitianMatrix:
         """sum_i lambda_i P_i, the source matrix up to the residual bound."""
-        return _synthesize(self.vectors, self.column_weights(self.eigenvalues))
+        return _synthesize(self.vectors, self.values)
 
 
 def _synthesize(v: np.ndarray, weights: np.ndarray) -> HermitianMatrix:
@@ -125,9 +133,9 @@ def decompose(
 
     Adjacent eigenvalues merge transitively while the gap stays within
     ``cluster_tol * max(1, spectral radius)``; each cluster's representative
-    eigenvalue is the mean of its members (which minimizes reconstruction
-    error for the multiplicity-weighted sum). A stack is clustered per
-    matrix, all matrices at once.
+    eigenvalue, the value of each of its columns, is the mean of its members
+    (which minimizes reconstruction error for the multiplicity-weighted
+    sum). A stack is clustered per matrix, all matrices at once.
     """
     w, v = eigh(a, policy)
     radius = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
@@ -136,28 +144,20 @@ def decompose(
     starts = np.ones(w.shape, dtype=bool)
     starts[..., 1:] = w[..., 1:] - w[..., :-1] > gap[..., None]
     labels = np.cumsum(starts, axis=-1) - 1
+    # each column of w takes its cluster's mean, in place; a singleton is its own mean
     flat = w.reshape(-1)
     first = np.flatnonzero(starts)
     sizes = np.diff(first, append=flat.size)
-    # the mean of a singleton is its one value, so only larger clusters average
-    reps = flat[first]
-    for i in np.flatnonzero(sizes > 1):
-        reps[i] = flat[first[i] : first[i] + sizes[i]].mean()
-    return SpectralDecomposition(
-        source=a,
-        eigenvalues=reps,
-        multiplicities=sizes,
-        vectors=v,
-        labels=labels,
-    )
+    for lo, size in zip(first[sizes > 1], sizes[sizes > 1]):
+        flat[lo : lo + size] = flat[lo : lo + size].mean()
+    return SpectralDecomposition(source=a, values=w, vectors=v, labels=labels)
 
 
 def require_positive_definite(
     dec: SpectralDecomposition, policy: NumericPolicy = DEFAULT_POLICY, what: str = "matrix"
 ) -> None:
     """Raise NotPositiveDefinite unless every clustered eigenvalue clears psd_floor."""
-    ends = dec.column_weights(dec.eigenvalues)
-    lo, hi = ends[..., 0], ends[..., -1]
+    lo, hi = dec.values[..., 0], dec.values[..., -1]
     floor = policy.psd_floor(lo, hi)
     bad = first_failure(~(lo > floor))
     if bad is not None:

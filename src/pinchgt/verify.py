@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import HermitianMatrix
 from .errors import DimensionMismatch, DomainError, NonRealTrace
-from .functions import _exp_decomposition, apply_to_decomposition, herm_log
+from .functions import _map_spectrum, apply_to_decomposition, herm_log
 from .pinching import PinchOperator, pinch
 from .policy import (
     BOUND_MONOTONE_TOL,
@@ -119,8 +119,8 @@ def gt_check(
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    ea = _exp_decomposition(decompose(a, policy))
-    eb = _exp_decomposition(decompose(b, policy))
+    ea = _map_spectrum(np.exp, decompose(a, policy))
+    eb = _map_spectrum(np.exp, decompose(b, policy))
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = np.sum(np.exp(eigvals(a.mat + b.mat)), axis=-1)
         rhs = _trace_product(ea.source.mat, eb.source.mat)
@@ -254,9 +254,10 @@ def convergence_study(
     log_b = apply_to_decomposition(np.log, dec_b)
     s0 = _log_trace_exp(log_a + log_b)
     target = math.log(_trace_product(a.mat, b.mat))
+    # the largest power is counted first, so the count's caps refuse it before any row
+    spectra = {m: count_distinct_spectrum(dec_a, m, policy) for m in reversed(ms)}
     rows = []
-    for m in ms:
-        spectrum = count_distinct_spectrum(dec_a, m, policy)
+    for m, spectrum in sorted(spectra.items()):
         full_tier = a.dim**m <= cap
         s0_tensorized, t_pinched = (
             _full_tier_terms(a, b, m, policy, cap) if full_tier else (None, None)

@@ -25,6 +25,7 @@ from pinchgt import (
     NotPSD,
     NotSquare,
     NumericPolicy,
+    apply_to_decomposition,
     decompose,
     eigh,
     gt_check,
@@ -179,6 +180,12 @@ def test_stacked_decompose_and_pinch_match_per_matrix(policy):
             single = pinch(pinch_operator(HermitianMatrix(base.mat[i]), policy), HermitianMatrix(x.mat[i]))
             npt.assert_allclose(px[i], single.mat, rtol=0, atol=1e-14 * np.linalg.norm(single.mat))
         assert flat == len(dec.eigenvalues)
+    # f is one array call on the stack's values, bit for bit the per-matrix calls
+    base = random_pd(4, [1, 2, 3])
+    stacked = apply_to_decomposition(np.log, decompose(base, policy)).mat
+    for i in range(3):
+        one = apply_to_decomposition(np.log, decompose(HermitianMatrix(base.mat[i]), policy))
+        npt.assert_array_equal(stacked[i], one.mat)
 
 
 def assert_checks_agree(stacked, singles):

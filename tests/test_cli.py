@@ -217,6 +217,35 @@ def test_bad_inputs_exit_2(tmp_path, pair, capsys):
     capsys.readouterr()
 
 
+_ROW = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "doc, line",
+    [
+        ({"dim": 2, "re": [[1.0, 0.0], [0.0]]}, "'re' row 1 must hold 2 numbers"),
+        ({"dim": 2, "re": [[1.0, "0"], [0.0, 1.0]]}, "'re'[0][1] is not a number"),
+        ({"dim": 2, "re": [[1.0, True], [0.0, 1.0]]}, "'re'[0][1] is not a number"),
+        ({"dim": 2, "re": [[1.0, None], [0.0, 1.0]]}, "'re'[0][1] is not a number"),
+        ({"dim": 2, "re": _ROW, "im": [[0.0, None], [0.0, 0.0]]}, "'im'[0][1] is not a number"),
+        (_ROW, "matrix document must be a JSON object"),
+        ({"re": _ROW}, "missing 'dim'"),
+        ({"dim": 0, "re": _ROW}, "'dim' must be a positive integer, got 0"),
+        ({"dim": True, "re": _ROW}, "'dim' must be a positive integer, got True"),
+        ({"dim": 1.0, "re": _ROW}, "'dim' must be a positive integer, got 1.0"),
+        ({"dim": 2}, "missing 're'"),
+    ],
+)
+def test_malformed_matrix_document_exits_2(tmp_path, pair, capsys, doc, line):
+    _, pb, _, _ = pair
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", str(bad), pb]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {line}\n"
+
+
 def write_pair(tmp_path, a, b):
     """Paths of the 2-D arrays a and b written as matrix files."""
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
@@ -410,6 +439,41 @@ def test_chain_cap_above_dim_cap_exits_2(pair, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --cap 4097 exceeds the dimension cap 4096")
+
+
+def test_chain_cap_below_one_exits_2(pair, capsys):
+    """A cap below 1 is refused; a cap of 1 skips the dense tier at every power."""
+    pa, pb, _, _ = pair
+    for cap in ("0", "-5"):
+        assert main(["chain", pa, pb, "--m", "1", "--cap", cap]) == 2
+        assert capsys.readouterr() == ("", f"error: --cap must be positive, got {cap}\n")
+    assert main(["chain", pa, pb, "--m", "1..3", "--cap", "1"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(r[2], r[3]) for r in rows] == [("", "")] * 3
+
+
+def test_chain_counts_the_largest_power_first(pair, monkeypatch, capsys):
+    """A power beyond the spectrum count's caps is refused by the first count,
+    before any row is computed."""
+    import pinchgt.verify
+
+    counted = []
+    count = pinchgt.verify.count_distinct_spectrum
+
+    def counting(dec, m, policy):
+        counted.append(m)
+        return count(dec, m, policy)
+
+    monkeypatch.setattr(pinchgt.verify, "count_distinct_spectrum", counting)
+    pa, pb, _, _ = pair
+    assert main(["chain", pa, pb, "--m", "2440..2449"]) == 2
+    captured = capsys.readouterr()
+    assert counted == [2449]
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 2450 candidate multisets of 2449 terms each exceed the "
+        "enumeration cap of 6000000 terms\n"
+    )
 
 
 FROZEN_CHAIN = """\

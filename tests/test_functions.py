@@ -88,7 +88,7 @@ def test_function_respects_clusters():
 def test_domain_error_on_raising_function():
     a = construct_hermitian(np.diag([1.0, -1.0]))
     with pytest.raises(DomainError):
-        apply_to_decomposition(math.log, decompose(a))
+        apply_to_decomposition(np.log, decompose(a))
     with pytest.raises(DomainError):
         apply_to_decomposition(lambda x: 1.0 / (x - 1.0), decompose(identity(2)))
 
@@ -96,7 +96,14 @@ def test_domain_error_on_raising_function():
 def test_domain_error_on_non_finite_result():
     a = construct_hermitian(np.diag([0.0, 1.0]))
     with pytest.raises(DomainError):
-        apply_to_decomposition(lambda x: float("nan") if x == 0.0 else x, decompose(a))
+        apply_to_decomposition(lambda x: np.where(x == 0.0, np.nan, x), decompose(a))
+
+
+def test_log_of_a_singular_matrix_is_a_domain_error():
+    """log 0 is reported as DomainError naming the eigenvalue, with no RuntimeWarning."""
+    a = construct_hermitian(np.diag([0.0, 1.0]))
+    with pytest.raises(DomainError, match=r"not finite at eigenvalue\(s\) \[0\.\]"):
+        apply_to_decomposition(np.log, decompose(a))
 
 
 def test_exp_overflow_is_a_domain_error():

@@ -141,7 +141,8 @@ def test_positive_definite_predicate():
         require_positive_definite(sing)
 
 
-def test_column_weights_expand_multiplicities():
+def test_values_hold_one_eigenvalue_per_column():
     dec = decompose(rotated_diag([1.0, 1.0, 4.0], 3))
-    w = dec.column_weights(np.array([10.0, 20.0]))
-    npt.assert_array_equal(w, [10.0, 10.0, 20.0])
+    npt.assert_allclose(dec.values, [1.0, 1.0, 4.0], atol=1e-10)
+    npt.assert_allclose(dec.eigenvalues, [1.0, 4.0], atol=1e-10)
+    npt.assert_array_equal(dec.multiplicities, [2, 1])
