@@ -1,10 +1,10 @@
 """Matrix functions of Hermitian operands by spectral functional calculus.
 
-exp and log are computed as sum_i f(lambda_i) P_i on the *clustered*
-decomposition rather than by scaling-and-squaring: the decomposition is
-already required by the pinching machinery, and this keeps exp/log exactly
-consistent with the projectors used elsewhere. f is called once, on the
-decomposition's per-column ``values``, so exp A keeps A's clusters.
+exp and log are computed as V f(w) V† on the eigendecomposition rather
+than by scaling-and-squaring: the decomposition is already required by the
+pinching machinery. f is called once, on the per-column eigenvalues
+``values``, so the clustering never changes f(A), and exp A keeps A's
+clusters as its labels.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import numpy as np
 from .core import HermitianMatrix
 from .errors import DomainError
 from .policy import DEFAULT_POLICY, NumericPolicy
-from .spectral import SpectralDecomposition, _synthesize, decompose, require_positive_definite
+from .spectral import SpectralDecomposition, decompose, require_positive_definite
 
 __all__ = [
     "apply_to_decomposition",
@@ -22,11 +22,11 @@ __all__ = [
 
 
 def apply_to_decomposition(f, dec: SpectralDecomposition) -> HermitianMatrix:
-    """sum_i f(lambda_i) P_i for an already-computed decomposition (or a stack).
+    """V f(w) V† for an already-computed decomposition A = V diag(w) V† (or a stack).
 
     `f` is an elementwise array function, called once on ``dec.values``, the
-    array of each column's clustered eigenvalue. A value that is not finite
-    raises DomainError naming the distinct eigenvalues at fault.
+    array of each column's eigenvalue. A value that is not finite raises
+    DomainError naming the eigenvalues at fault.
     """
     return _map_spectrum(f, dec).source
 
@@ -37,8 +37,9 @@ def _map_spectrum(f, dec: SpectralDecomposition) -> SpectralDecomposition:
         values = np.asarray(f(dec.values)).astype(np.float64, casting="same_kind", copy=False)
     bad = ~np.isfinite(values)
     if bad.any():
-        raise DomainError(f"function not finite at eigenvalue(s) {dec.values[bad & dec._starts]}")
-    return SpectralDecomposition(_synthesize(dec.vectors, values), values, dec.vectors, dec.labels)
+        raise DomainError(f"function not finite at eigenvalue(s) {np.unique(dec.values[bad])}")
+    fa = (dec.vectors * values[..., None, :]) @ dec.vectors.conj().swapaxes(-1, -2)
+    return SpectralDecomposition(HermitianMatrix(fa), values, dec.vectors, dec.labels)
 
 
 def herm_exp(a: HermitianMatrix, policy: NumericPolicy = DEFAULT_POLICY) -> HermitianMatrix:
@@ -49,8 +50,8 @@ def herm_exp(a: HermitianMatrix, policy: NumericPolicy = DEFAULT_POLICY) -> Herm
 def herm_log(a: HermitianMatrix, policy: NumericPolicy = DEFAULT_POLICY) -> HermitianMatrix:
     """Matrix logarithm of a positive definite Hermitian matrix.
 
-    Positive definiteness is judged on the clustered eigenvalues against
-    the policy's PSD slack; PSD-but-singular input is rejected, since its
+    Positive definiteness is judged on the eigenvalues against the
+    policy's PSD slack; PSD-but-singular input is rejected, since its
     logarithm would be unbounded.
     """
     dec = decompose(a, policy)

@@ -78,6 +78,11 @@ def serialize_matrix(a: HermitianMatrix) -> dict:
 
 
 def write_matrix(path, a: HermitianMatrix) -> None:
+    """Write one matrix as a matrix document; a stack raises ValueError."""
+    if a.batch_shape:
+        raise ValueError(
+            f"a matrix document holds one matrix, not a stack of shape {a.batch_shape}"
+        )
     with open(path, "w") as fh:
         json.dump(serialize_matrix(a), fh, indent=1)
         fh.write("\n")

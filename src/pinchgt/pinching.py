@@ -140,7 +140,7 @@ def pinching_checks(
             f"operand must be PSD for the lower bound; "
             f"min eigenvalue {float(w[bad][0]):.6e}{at_index(bad)}"
         )
-    a = op.base.reconstruct().mat
+    a = op.base.source.mat
     px = pinch(op, x).mat
     bilinear = bilinear_scale(a, x.mat)
     commutation = frobenius(px @ a - a @ px)

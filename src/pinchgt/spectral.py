@@ -1,11 +1,12 @@
 """Hermitian eigendecomposition and clustering into distinct eigenvalues.
 
 The decomposition A = sum_i lambda_i P_i over *distinct* eigenvalues is the
-backbone of the pinching map and of all matrix functions here. Numerically
-"distinct" is defined by gap-based clustering in :func:`decompose` alone:
-adjacent eigenvalues merge, transitively, while their gap stays within
-``cluster_tol * max(1, spectral radius)``. Tensor powers create many
-near-coincident products, so the clustering rule is load-bearing.
+backbone of the pinching map. Numerically "distinct" is defined by gap-based
+clustering in :func:`decompose` alone: adjacent eigenvalues merge,
+transitively, while their gap stays within ``cluster_tol * max(1, spectral
+radius)``. A cluster only labels eigenbasis columns; each column keeps its
+computed eigenvalue. Tensor powers create many near-coincident products,
+so the clustering rule is load-bearing.
 """
 
 from dataclasses import dataclass
@@ -69,15 +70,14 @@ def eigvals(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """A = sum_i lambda_i P_i over the n distinct (clustered) eigenvalues.
+    """A = V diag(values) V†, with its columns grouped into n distinct eigenvalues.
 
-    ``vectors`` is the orthonormal eigenbasis with cluster i occupying a
-    contiguous block of columns; P_i is V_i V_i† for that block. ``labels``
-    gives the cluster index i of every column and ``values`` its cluster's
-    representative lambda_i, the mean of the clustered raw eigenvalues (for
-    exp A, exp of A's means). No projector is ever materialized, so a
-    decomposition costs eigenvector storage, never n projector matrices.
-    ``source`` is the decomposed matrix itself.
+    ``vectors`` is the orthonormal eigenbasis V and ``values`` each column's
+    eigenvalue as ``eigh`` computed it (for exp A, exp of A's). ``labels``
+    gives the cluster index i of every column; cluster i is a contiguous
+    block of columns, P_i = V_i V_i† for that block, and its representative
+    lambda_i is the block's smallest value. No projector is ever
+    materialized. ``source`` is the decomposed matrix itself.
 
     For a stack, ``vectors`` is ``(..., d, d)`` and ``labels`` and ``values``
     ``(..., d)``, with cluster indices counted within each matrix, and ``n``
@@ -108,22 +108,13 @@ class SpectralDecomposition:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """The cluster representatives, one per distinct eigenvalue."""
+        """The cluster representatives, each cluster's smallest value."""
         return self.values[self._starts]
 
     @property
     def multiplicities(self) -> np.ndarray:
         """The cluster sizes, in the order of ``eigenvalues``."""
         return np.diff(np.flatnonzero(self._starts), append=self.labels.size)
-
-    def reconstruct(self) -> HermitianMatrix:
-        """sum_i lambda_i P_i, the source matrix up to the residual bound."""
-        return _synthesize(self.vectors, self.values)
-
-
-def _synthesize(v: np.ndarray, weights: np.ndarray) -> HermitianMatrix:
-    """V diag(weights) V†, with one weight per column of the eigenbasis V."""
-    return HermitianMatrix((v * weights[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def decompose(
@@ -132,10 +123,9 @@ def decompose(
     """Cluster the spectrum of `a` into distinct eigenvalues with projectors.
 
     Adjacent eigenvalues merge transitively while the gap stays within
-    ``cluster_tol * max(1, spectral radius)``; each cluster's representative
-    eigenvalue, the value of each of its columns, is the mean of its members
-    (which minimizes reconstruction error for the multiplicity-weighted
-    sum). A stack is clustered per matrix, all matrices at once.
+    ``cluster_tol * max(1, spectral radius)``. The clusters only label the
+    columns; ``values`` is the ``w`` that :func:`eigh` returned. A stack is
+    clustered per matrix, all matrices at once.
     """
     w, v = eigh(a, policy)
     radius = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
@@ -144,25 +134,19 @@ def decompose(
     starts = np.ones(w.shape, dtype=bool)
     starts[..., 1:] = w[..., 1:] - w[..., :-1] > gap[..., None]
     labels = np.cumsum(starts, axis=-1) - 1
-    # each column of w takes its cluster's mean, in place; a singleton is its own mean
-    flat = w.reshape(-1)
-    first = np.flatnonzero(starts)
-    sizes = np.diff(first, append=flat.size)
-    for lo, size in zip(first[sizes > 1], sizes[sizes > 1]):
-        flat[lo : lo + size] = flat[lo : lo + size].mean()
     return SpectralDecomposition(source=a, values=w, vectors=v, labels=labels)
 
 
 def require_positive_definite(
     dec: SpectralDecomposition, policy: NumericPolicy = DEFAULT_POLICY, what: str = "matrix"
 ) -> None:
-    """Raise NotPositiveDefinite unless every clustered eigenvalue clears psd_floor."""
+    """Raise NotPositiveDefinite unless every eigenvalue clears psd_floor."""
     lo, hi = dec.values[..., 0], dec.values[..., -1]
     floor = policy.psd_floor(lo, hi)
     bad = first_failure(~(lo > floor))
     if bad is not None:
         raise NotPositiveDefinite(
-            f"{what} is not positive definite: smallest clustered eigenvalue "
+            f"{what} is not positive definite: smallest eigenvalue "
             f"{float(lo[bad]):.6e} does not clear the resolvable "
             f"floor {float(floor[bad]):.6e}{at_index(bad)}"
         )

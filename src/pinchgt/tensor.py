@@ -30,9 +30,9 @@ __all__ = [
 # full-matrix work stays at desk scale; combinatorial counting has no cap
 DIM_CAP = 4096
 
-# hard stops for multiset enumeration: the candidate multisets, which bound
-# its memory, and the log terms summed over them (candidates times m), which
-# bound its time; at m <= 3 the candidate cap alone decides
+# hard stops for multiset enumeration: the candidate multisets of one power,
+# which bound its memory, and the log terms summed over them (candidates
+# times m) and over every power of a list, which bound its time
 _ENUMERATION_CAP = 2_000_000
 _TERM_CAP = 6_000_000
 
@@ -84,6 +84,33 @@ class SpectrumCount:
         return math.log(self.distinct_count)
 
 
+def _require_enumerable(n: int, ms) -> None:
+    """Refuse the powers `ms` of a base with n distinct eigenvalues before any
+    is counted: each must be positive; per power, the candidate multisets are
+    capped; over all the powers, the log terms summed (candidates times m).
+    The largest power is judged alone first."""
+    terms = 0
+    for m in sorted(ms, reverse=True):
+        if m < 1:
+            raise ValueError(f"power must be a positive integer, got {m}")
+        exact = math.comb(m + n - 1, n - 1)
+        if exact > _ENUMERATION_CAP:
+            raise SizeOverflow(
+                f"{exact} candidate multisets exceed the enumeration cap {_ENUMERATION_CAP}"
+            )
+        if exact * m > _TERM_CAP:
+            raise SizeOverflow(
+                f"{exact} candidate multisets of {m} terms each exceed the "
+                f"enumeration cap of {_TERM_CAP} terms"
+            )
+        terms += exact * m
+    if terms > _TERM_CAP:
+        raise SizeOverflow(
+            f"the candidate multisets of {len(ms)} powers hold {terms} terms in all, "
+            f"beyond the enumeration cap of {_TERM_CAP} terms"
+        )
+
+
 def count_distinct_spectrum(
     dec: SpectralDecomposition, m: int, policy: NumericPolicy = DEFAULT_POLICY
 ) -> SpectrumCount:
@@ -100,23 +127,12 @@ def count_distinct_spectrum(
         raise ValueError(
             f"spectrum count takes one matrix, not a stack of shape {dec.labels.shape[:-1]}"
         )
-    if m < 1:
-        raise ValueError(f"power must be a positive integer, got {m}")
+    n = dec.n
+    _require_enumerable(n, [m])
     lo = dec.eigenvalues[0]  # the sums below are taken in the log domain
     if not lo > 0:
         raise NotPositiveDefinite(f"tensor-power base eigenvalue {lo:.6e} is outside log's domain")
-    n = dec.n
     exact_bound, log_bound = binomial_bound(m, n)
-    if exact_bound > _ENUMERATION_CAP:
-        raise SizeOverflow(
-            f"{exact_bound} candidate multisets exceed the enumeration cap "
-            f"{_ENUMERATION_CAP}"
-        )
-    if exact_bound * m > _TERM_CAP:
-        raise SizeOverflow(
-            f"{exact_bound} candidate multisets of {m} terms each exceed the "
-            f"enumeration cap of {_TERM_CAP} terms"
-        )
     logs = np.log(dec.eigenvalues)
     sums = np.fromiter(
         (sum(combo) for combo in combinations_with_replacement(logs, m)),

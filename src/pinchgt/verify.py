@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import HermitianMatrix
 from .errors import DimensionMismatch, DomainError, NonRealTrace
-from .functions import _map_spectrum, apply_to_decomposition, herm_log
+from .functions import _map_spectrum, apply_to_decomposition
 from .pinching import PinchOperator, pinch
 from .policy import (
     BOUND_MONOTONE_TOL,
@@ -45,7 +45,7 @@ from .policy import (
     frobenius,
 )
 from .spectral import SpectralDecomposition, decompose, eigvals, require_positive_definite
-from .tensor import DIM_CAP, count_distinct_spectrum, tensor_power
+from .tensor import DIM_CAP, _require_enumerable, count_distinct_spectrum, tensor_power
 
 __all__ = [
     "GTReport",
@@ -192,13 +192,12 @@ def _full_tier_terms(
 ) -> tuple[float, float]:
     """s0_tensorized and t_pinched from the d^m-dimensional tensor powers."""
     a_m = tensor_power(a, m, cap=cap)
-    b_m = tensor_power(b, m, cap=cap)
-    dec_bm = decompose(b_m, policy)
-    log_am = herm_log(a_m, policy)
+    dec_bm = decompose(tensor_power(b, m, cap=cap), policy)
+    log_am = apply_to_decomposition(np.log, decompose(a_m, policy))
     log_bm = apply_to_decomposition(np.log, dec_bm)
     s0_tensorized = _log_trace_exp(log_am + log_bm) / m
     pinched = pinch(PinchOperator(dec_bm), a_m)
-    log_pinched = herm_log(pinched, policy)
+    log_pinched = apply_to_decomposition(np.log, decompose(pinched, policy))
     return s0_tensorized, _log_trace_exp(log_pinched + log_bm) / m
 
 
@@ -238,7 +237,9 @@ def convergence_study(
 
     Each row equals ``chain_trace(a, b, m, policy, cap=cap)``. The PD pair
     A, B is decomposed once and the power-independent s0 and target are
-    computed once.
+    computed once. Positivity is gated once, on A and B against psd_floor;
+    the logs of the d^m operators of the full tier take their computed
+    eigenvalues as they are, and one <= 0 there raises DomainError.
     """
     ms = [int(m) for m in m_list]
     if not ms:
@@ -254,10 +255,10 @@ def convergence_study(
     log_b = apply_to_decomposition(np.log, dec_b)
     s0 = _log_trace_exp(log_a + log_b)
     target = math.log(_trace_product(a.mat, b.mat))
-    # the largest power is counted first, so the count's caps refuse it before any row
-    spectra = {m: count_distinct_spectrum(dec_a, m, policy) for m in reversed(ms)}
+    _require_enumerable(dec_a.n, ms)
     rows = []
-    for m, spectrum in sorted(spectra.items()):
+    for m in ms:
+        spectrum = count_distinct_spectrum(dec_a, m, policy)
         full_tier = a.dim**m <= cap
         s0_tensorized, t_pinched = (
             _full_tier_terms(a, b, m, policy, cap) if full_tier else (None, None)

@@ -16,6 +16,7 @@ import pytest
 from pinchgt import (
     NotHermitian,
     binomial_bound,
+    chain_checks,
     chain_trace,
     construct_hermitian,
     convergence_study,
@@ -276,4 +277,42 @@ def test_one_clustering_per_operand(tmp_path, d, seeds):
         "one_clustering_per_operand",
         ok,
         f"d={d}, (seed, clusters kept, exit, verdict): {results}",
+    )
+
+
+def test_pinching_checks_see_a_coarse_clustering(tmp_path):
+    """At --tol-cluster 0.05, B's eigenvalues 0 and 0.03 share a cluster. The
+    pinch by that partition does not commute with exp B itself, and check
+    reports it rather than judging against the clustered matrix."""
+    import json
+
+    pa, pb, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "cert.json"
+    write_matrix(pa, _rotated([0.2, 0.5, 1.3], 1))
+    write_matrix(pb, _rotated([0.0, 0.03, 1.0], 2))
+    rc = main(["check", str(pa), str(pb), "--tol-cluster", "0.05", "--out", str(out)])
+    failed = [c for c in json.loads(out.read_text())["checks"] if not c["passed"]]
+    ok = (
+        rc == 1
+        and [c["name"] for c in failed] == ["pinch_commutes_with_base"]
+        and failed[0]["residual"] > 1e6 * failed[0]["tolerance"]
+    )
+    _verdict("pinching_checks_see_a_coarse_clustering", ok, f"exit {rc}, failed {failed}")
+
+
+def test_tensorization_ignores_the_clustering():
+    """A^(x)m and B^(x)m of A = U diag(1, 30) U†, B = W diag(30, 0.7) W† have
+    distinct eigenvalues that the clustering merges (30^k and 30^(k+1) for
+    small k, against a gap of 1e-8 * 30^m). Their logs take the computed
+    eigenvalues, so the tensorization identity holds at m = 6, 7, 8."""
+    rows = convergence_study(_rotated([1.0, 30.0], 2), _rotated([30.0, 0.7], 12), [6, 7, 8])
+    tens = [
+        (m, c.residual, c.tolerance, c.passed)
+        for m, c in chain_checks(rows)
+        if c.name == "tensorization_identity"
+    ]
+    ok = len(tens) == 3 and all(passed for *_, passed in tens)
+    _verdict(
+        "tensorization_ignores_the_clustering",
+        ok,
+        f"(m, residual, tolerance, passed): {tens}",
     )

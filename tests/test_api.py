@@ -59,3 +59,20 @@ def test_reexports_are_in_their_module_all():
         if alias.name not in importlib.import_module(f"pinchgt.{node.module}").__all__
     ]
     assert missing == []
+
+
+def test_traced_attributes_are_kept():
+    """The attributes the traced benchmark's hooks read from call arguments
+    and results, with the types the hooks compute with: the pinch operator's
+    ``base`` and ``dim``; the decomposition's ``vectors``, ``multiplicities``,
+    ``source_dim`` and ``n``; the spectrum count's ``distinct_count``."""
+    op = pinchgt.pinch_operator(pinchgt.random_pd(3, 0))
+    assert isinstance(op.base, pinchgt.SpectralDecomposition)
+    assert op.dim == 3
+    dec = op.base
+    assert dec.vectors.shape == (3, 3)
+    assert dec.multiplicities.tolist() == [1, 1, 1]
+    assert dec.source_dim == 3
+    assert dec.n == 3 and isinstance(dec.n, int)
+    count = pinchgt.count_distinct_spectrum(dec, 2)
+    assert count.distinct_count == 6 and isinstance(count.distinct_count, int)

@@ -88,10 +88,12 @@ def test_suite_matches_per_trial_route(seed, tol_cluster):
     got = run_suite(1, 8, 20, seed, tol_cluster)
     assert got == oracle(1, 8, 20, seed, tol_cluster)
     if tol_cluster == 0.5:
-        # the coarse clustering breaks about half the trials, so the
-        # comparison covers violations and not only passes
+        # the pinching checks judge against the reference itself, so they
+        # report the coarse clusters: every trial of dimension 3 and up is
+        # violated, while dimension 1 and most of dimension 2 pass, and
+        # the comparison covers both
         violated = int(got[1].splitlines()[-1].split(", ")[1].split()[0])
-        assert 40 <= violated <= 120
+        assert 40 <= violated <= 140
         assert got[0] == 1
 
 

@@ -38,6 +38,16 @@ def test_roundtrip_matrix_files(tmp_path):
     np.testing.assert_allclose(back.mat, a.mat, atol=1e-15)
 
 
+def test_writing_a_stack_is_refused(tmp_path):
+    """A matrix document holds one matrix; a stack is refused before the file
+    is opened, not written as a document that loading refuses."""
+    p = tmp_path / "m.json"
+    with pytest.raises(ValueError, match=r"^a matrix document holds one matrix, not a stack "
+                                         r"of shape \(2,\)$"):
+        write_matrix(p, random_pd(3, [1, 2]))
+    assert not p.exists()
+
+
 def test_check_passes(pair, capsys):
     pa, pb, _, _ = pair
     assert main(["check", pa, pb]) == 0
@@ -452,27 +462,41 @@ def test_chain_cap_below_one_exits_2(pair, capsys):
     assert [(r[2], r[3]) for r in rows] == [("", "")] * 3
 
 
-def test_chain_counts_the_largest_power_first(pair, monkeypatch, capsys):
-    """A power beyond the spectrum count's caps is refused by the first count,
-    before any row is computed."""
+@pytest.fixture
+def uncounted(monkeypatch):
+    """Fails the test at the first spectrum count of a chain run."""
     import pinchgt.verify
 
-    counted = []
-    count = pinchgt.verify.count_distinct_spectrum
+    def refuse(dec, m, policy):
+        raise AssertionError(f"power {m} was counted")
 
-    def counting(dec, m, policy):
-        counted.append(m)
-        return count(dec, m, policy)
+    monkeypatch.setattr(pinchgt.verify, "count_distinct_spectrum", refuse)
 
-    monkeypatch.setattr(pinchgt.verify, "count_distinct_spectrum", counting)
+
+def test_chain_refuses_a_power_beyond_the_caps_before_counting(pair, uncounted, capsys):
+    """A power beyond the spectrum count's caps is refused, by the largest
+    power's own caps, before any power is counted."""
     pa, pb, _, _ = pair
     assert main(["chain", pa, pb, "--m", "2440..2449"]) == 2
     captured = capsys.readouterr()
-    assert counted == [2449]
     assert captured.out == ""
     assert captured.err == (
         "error: 2450 candidate multisets of 2449 terms each exceed the "
         "enumeration cap of 6000000 terms\n"
+    )
+
+
+def test_chain_refuses_a_long_power_list_before_counting(pair, uncounted, capsys):
+    """Each power of 13..2000 is within the caps, but their candidate
+    multisets hold about 2.7e9 terms in all: refused before any count."""
+    pa, pb, _, _ = pair
+    assert main(["chain", pa, pb, "--m", "13..2000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    terms = sum((m + 1) * m for m in range(13, 2001))
+    assert captured.err == (
+        f"error: the candidate multisets of 1988 powers hold {terms} terms in all, "
+        "beyond the enumeration cap of 6000000 terms\n"
     )
 
 

@@ -112,7 +112,7 @@ def test_property_commutation():
         dim = 2 + seed % 6
         op = pinch_operator(random_pd(dim, seed))
         x = random_hermitian(dim, seed + 900)
-        a = op.base.reconstruct().mat
+        a = op.base.source.mat
         px = pinch(op, x).mat
         residual = np.linalg.norm(px @ a - a @ px)
         assert residual <= COMMUTATION_TOL * bilinear_scale(a, x.mat)
@@ -123,7 +123,7 @@ def test_property_trace_preservation():
         dim = 2 + seed % 6
         op = pinch_operator(random_pd(dim, seed))
         x = random_hermitian(dim, seed + 900)
-        a = op.base.reconstruct().mat
+        a = op.base.source.mat
         residual = abs(np.trace(pinch(op, x).mat @ a) - np.trace(x.mat @ a))
         assert residual <= TRACE_TOL * bilinear_scale(a, x.mat)
 

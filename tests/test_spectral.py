@@ -44,8 +44,8 @@ def test_decompose_partitions_dimension():
         assert dec.source_dim == dim
         assert sum(dec.multiplicities) == dim
         assert (np.diff(dec.eigenvalues) > 0).all()
-        npt.assert_allclose(dec.reconstruct().mat, random_hermitian(dim, seed).mat,
-                            atol=1e-10)
+        rebuilt = sum(lam * p for lam, p in zip(dec.eigenvalues, projectors(dec)))
+        npt.assert_allclose(rebuilt, random_hermitian(dim, seed).mat, atol=1e-10)
 
 
 def test_decompose_merges_degenerate_eigenvalues():
@@ -55,9 +55,10 @@ def test_decompose_merges_degenerate_eigenvalues():
     npt.assert_allclose(dec.eigenvalues, [1.0, 4.0], atol=1e-10)
 
 
-def test_cluster_representatives_are_member_means():
-    """Each representative is bitwise the mean of its cluster's raw eigenvalues,
-    for singleton clusters and clusters of 2, 8 and 20 members."""
+def test_values_are_eighs_eigenvalues():
+    """``values`` is bitwise the w of eigh and each representative is bitwise
+    its cluster's smallest member, for singleton clusters and clusters of 2,
+    8 and 20 members."""
     values = np.concatenate(
         [
             [-5.0, 0.0],
@@ -71,17 +72,20 @@ def test_cluster_representatives_are_member_means():
     dec = decompose(a)
     assert list(dec.multiplicities) == [1, 1, 2, 8, 1, 20]
     w, _ = eigh(a)
-    edges = np.concatenate(([0], np.cumsum(dec.multiplicities)))
-    expected = np.array([w[lo:hi].mean() for lo, hi in zip(edges[:-1], edges[1:])])
-    assert dec.eigenvalues.tobytes() == expected.tobytes()
+    assert dec.values.tobytes() == w.tobytes()
+    first = np.cumsum(dec.multiplicities) - dec.multiplicities
+    assert dec.eigenvalues.tobytes() == w[first].tobytes()
 
 
 def test_decompose_merges_near_degenerate():
-    # split below cluster_tol * radius collapses to one cluster at its mean
+    # a split below cluster_tol * radius is one cluster, whose columns keep
+    # their own eigenvalues and whose representative is the smaller one
     a = construct_hermitian(np.diag([1.0, 1.0 + 1e-12, 5.0]))
     dec = decompose(a)
     assert dec.n == 2
-    assert dec.eigenvalues[0] == pytest.approx(1.0 + 5e-13, abs=1e-15)
+    assert dec.values.tobytes() == eigh(a)[0].tobytes()
+    assert dec.values[1] - dec.values[0] == pytest.approx(1e-12, rel=1e-3)
+    assert dec.eigenvalues[0] == dec.values[0]
 
 
 def test_decompose_keeps_separated_eigenvalues():

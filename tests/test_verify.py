@@ -311,7 +311,8 @@ def test_certificate_reads_the_report():
 # gt_check takes exp A and exp B from the decompositions of A and B, with
 # A's and B's clusters. The route it replaced decomposed the dense
 # exponentials again; that route, decompose(herm_exp(x)), stays the oracle
-# for the names and verdicts of the checks.
+# for the names and verdicts of the checks, except where it merges a gap
+# that B's clusters keep: its pinch then fails to commute with exp B.
 
 
 def _rotated(values, seed):
@@ -341,7 +342,7 @@ EXP_ROUTE_PAIRS = {
 
 
 def _assert_exp_of(exp_dec, dec):
-    """exp_dec keeps dec's clusters, at exp of dec's cluster means, bit for bit."""
+    """exp_dec keeps dec's clusters, at exp of dec's eigenvalues, bit for bit."""
     npt.assert_array_equal(exp_dec.labels, dec.labels)
     npt.assert_array_equal(exp_dec.multiplicities, dec.multiplicities)
     npt.assert_array_equal(exp_dec.eigenvalues, np.exp(dec.eigenvalues))
@@ -371,10 +372,17 @@ def test_exp_decompositions_match_the_dense_route(name, tmp_path, capsys):
     write_matrix(pb, b)
     rc = main(["check", str(pa), str(pb)])
     cert = json.loads(capsys.readouterr().out)
-    assert rc == (0 if all(c.passed for c in old_checks) else 1)
-    assert [(c["name"], c["passed"]) for c in cert["checks"]] == [
-        (c.name, c.passed) for c in old_checks
-    ]
+    expected = [(c.name, c.passed) for c in old_checks]
+    if name == "near_degenerate":
+        # judged against exp B itself, the pinch of the dense route's merged
+        # partition does not commute with it, while the certificate's does
+        i = [c.name for c in old_checks].index("pinch_commutes_with_base")
+        assert not old_checks[i].passed
+        assert old_checks[i].residual == pytest.approx(5.04e-9, rel=1e-3)
+        assert old_checks[i].tolerance == pytest.approx(4.47e-9, rel=1e-3)
+        expected[i] = ("pinch_commutes_with_base", True)
+    assert rc == (0 if all(passed for _, passed in expected) else 1)
+    assert [(c["name"], c["passed"]) for c in cert["checks"]] == expected
 
 
 def test_exp_decompositions_match_the_dense_route_in_a_stack():
