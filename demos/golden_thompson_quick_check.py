@@ -8,11 +8,11 @@ import math
 
 import numpy as np
 
-from pinchgt import construct_hermitian, gt_check, identity, random_hermitian
+from pinchgt import construct_hermitian, gt_check, random_hermitian
 
 # commuting operands make the inequality an equality
 a = construct_hermitian(np.diag([1.0, -1.0]))
-r = gt_check(a, identity(2))
+r = gt_check(a, construct_hermitian(np.eye(2)))
 print("commuting pair  diag(1,-1) with I:")
 print(f"  lhs = {r.lhs:.12f}")
 print(f"  rhs = {r.rhs:.12f}")

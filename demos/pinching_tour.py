@@ -8,8 +8,9 @@ with `python3 demos/pinching_tour.py`.
 import numpy as np
 
 from pinchgt import (
+    PinchOperator,
+    decompose,
     pinch,
-    pinch_operator,
     pinch_via_mixture,
     pinching_checks,
     random_hermitian,
@@ -20,7 +21,7 @@ np.set_printoptions(precision=4, suppress=True)
 
 base = random_pd(4, seed=5)
 x = random_hermitian(4, seed=17)
-op = pinch_operator(base)
+op = PinchOperator(decompose(base))
 
 print("reference matrix A (positive definite):")
 print(base.mat.real)

@@ -4,12 +4,10 @@ Golden-Thompson trace inequality tr exp(A+B) <= tr(exp A exp B)."""
 from .core import (
     HermitianMatrix,
     construct_hermitian,
-    identity,
     random_hermitian,
     random_pd,
     random_psd,
     random_unitary,
-    scale,
 )
 from .errors import (
     ConvergenceFailure,
@@ -25,12 +23,11 @@ from .errors import (
     PinchError,
     SizeOverflow,
 )
-from .functions import apply_to_decomposition, herm_exp, herm_log
+from .functions import apply_to_decomposition
 from .matrixio import load_matrix, matrix_digest, write_matrix
 from .pinching import (
     PinchOperator,
     pinch,
-    pinch_operator,
     pinch_via_mixture,
     pinching_checks,
 )
@@ -53,7 +50,6 @@ from .verify import (
     ChainTrace,
     GTReport,
     chain_checks,
-    chain_trace,
     convergence_study,
     finite_power_certificate,
     gt_check,
@@ -73,8 +69,6 @@ __all__ = [
     "ChainTrace",
     "DIM_CAP",
     "construct_hermitian",
-    "identity",
-    "scale",
     "random_hermitian",
     "random_pd",
     "random_psd",
@@ -84,9 +78,6 @@ __all__ = [
     "decompose",
     "require_positive_definite",
     "apply_to_decomposition",
-    "herm_exp",
-    "herm_log",
-    "pinch_operator",
     "pinch",
     "pinch_via_mixture",
     "pinching_checks",
@@ -94,7 +85,6 @@ __all__ = [
     "binomial_bound",
     "count_distinct_spectrum",
     "gt_check",
-    "chain_trace",
     "chain_checks",
     "convergence_study",
     "finite_power_certificate",

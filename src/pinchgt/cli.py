@@ -24,8 +24,9 @@ import numpy as np
 from .core import HermitianMatrix, random_hermitian, random_pd, random_psd
 from .errors import PinchError
 from .matrixio import load_matrix, matrix_digest
-from .pinching import PinchOperator, pinch_operator, pinching_checks
+from .pinching import PinchOperator, pinching_checks
 from .policy import NumericPolicy
+from .spectral import decompose
 from .tensor import DIM_CAP
 from .verify import chain_checks, convergence_study, finite_power_certificate, gt_check
 
@@ -80,11 +81,14 @@ def _fmt(x) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:  # an unwritable --out is unusable input, exit 2
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _operand_record(path: str, x: HermitianMatrix) -> dict:
@@ -167,7 +171,7 @@ def _suite_violations(dim: int, trial_seeds: range, policy: NumericPolicy) -> in
     ok = gt_check(a, b, policy).holds
     base = random_pd(dim, [4 * s + 2 for s in trial_seeds])
     x = random_psd(dim, [4 * s + 3 for s in trial_seeds])
-    for c in pinching_checks(pinch_operator(base, policy), x, policy):
+    for c in pinching_checks(PinchOperator(decompose(base, policy)), x, policy):
         ok = ok & c.passed
     return int(np.count_nonzero(~ok))
 

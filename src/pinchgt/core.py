@@ -1,6 +1,6 @@
 """Dense complex Hermitian matrices, single or stacked.
 
-Construction gate, basic algebra, and seeded random test instances.
+Construction gate, addition, and seeded random test instances.
 Everything here is immutable after construction, so any operation may run
 concurrently on shared inputs. A ``HermitianMatrix`` holds one ``d x d``
 matrix or a stack ``(..., d, d)`` of them (see ``policy.py`` for the
@@ -22,13 +22,11 @@ import threading
 import numpy as np
 
 from .errors import DimensionMismatch, NotFinite, NotHermitian, NotSquare
-from .policy import DEFAULT_POLICY, NumericPolicy, batch_result, frobenius
+from .policy import DEFAULT_POLICY, NumericPolicy
 
 __all__ = [
     "HermitianMatrix",
     "construct_hermitian",
-    "identity",
-    "scale",
     "random_pd",
     "random_hermitian",
     "random_psd",
@@ -94,35 +92,6 @@ class HermitianMatrix:
         _require_same_dim(self, other)
         return HermitianMatrix(self._mat + other._mat)
 
-    def __sub__(self, other):
-        if not isinstance(other, HermitianMatrix):
-            return NotImplemented
-        _require_same_dim(self, other)
-        return HermitianMatrix(self._mat - other._mat)
-
-    def __mul__(self, c):
-        return scale(c, self)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        # product of two Hermitian matrices is general; return a plain array
-        other = as_array(other)
-        if other.shape[-2 if other.ndim > 1 else 0] != self.dim:
-            raise DimensionMismatch(
-                f"cannot multiply shapes {self._mat.shape} and {other.shape}"
-            )
-        return self._mat @ other
-
-    def __rmatmul__(self, other):
-        return as_array(other) @ self._mat
-
-    def trace(self):
-        return batch_result(np.trace(self._mat, axis1=-2, axis2=-1).real)
-
-    def frobenius(self):
-        return frobenius(self._mat)
-
     def __repr__(self):
         batch = f", batch_shape={self.batch_shape}" if self.batch_shape else ""
         return f"HermitianMatrix(dim={self.dim}{batch})"
@@ -160,18 +129,6 @@ def construct_hermitian(raw, policy: NumericPolicy = DEFAULT_POLICY) -> Hermitia
     # entries above ~8.99e307 overflow the symmetrization, which raises NotFinite
     with np.errstate(over="ignore", invalid="ignore"):
         return HermitianMatrix(arr)
-
-
-def identity(dim: int) -> HermitianMatrix:
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    return HermitianMatrix(np.eye(dim, dtype=np.complex128))
-
-
-def scale(c: float, a: HermitianMatrix) -> HermitianMatrix:
-    """Real scalar multiple of a Hermitian matrix."""
-    c = float(c)
-    return HermitianMatrix(c * a.mat)
 
 
 _KEY_LIMIT = 1 << 128  # Philox keys are two 64-bit words
@@ -226,16 +183,13 @@ def _gram(g: np.ndarray) -> np.ndarray:
     return g @ g.conj().swapaxes(-1, -2)
 
 
-def random_pd(dim: int, seed, floor: float = 1.0) -> HermitianMatrix:
-    """Seeded random positive definite matrix G G† + floor I.
+def random_pd(dim: int, seed) -> HermitianMatrix:
+    """Seeded random positive definite matrix G G† + I.
 
-    Deterministic function of (dim, seed, floor); the smallest eigenvalue
-    is at least `floor`. A sequence of seeds gives a stack.
+    Deterministic function of (dim, seed); the smallest eigenvalue is at
+    least 1. A sequence of seeds gives a stack.
     """
-    g = _complex_normal(dim, seed)
-    if not floor > 0:
-        raise ValueError("floor must be strictly positive")
-    return HermitianMatrix(_gram(g) + floor * np.eye(dim))
+    return HermitianMatrix(_gram(_complex_normal(dim, seed)) + np.eye(dim))
 
 
 def random_hermitian(dim: int, seed) -> HermitianMatrix:

@@ -11,14 +11,12 @@ import numpy as np
 
 from .core import HermitianMatrix
 from .errors import DomainError
-from .policy import DEFAULT_POLICY, NumericPolicy
-from .spectral import SpectralDecomposition, decompose, require_positive_definite
 
-__all__ = [
-    "apply_to_decomposition",
-    "herm_exp",
-    "herm_log",
-]
+# decompose is not called here: bench/tests reads pinchgt.functions.decompose
+# to see that the tracer rebinds every module's reference to it
+from .spectral import SpectralDecomposition, decompose
+
+__all__ = ["apply_to_decomposition"]
 
 
 def apply_to_decomposition(f, dec: SpectralDecomposition) -> HermitianMatrix:
@@ -40,20 +38,3 @@ def _map_spectrum(f, dec: SpectralDecomposition) -> SpectralDecomposition:
         raise DomainError(f"function not finite at eigenvalue(s) {np.unique(dec.values[bad])}")
     fa = (dec.vectors * values[..., None, :]) @ dec.vectors.conj().swapaxes(-1, -2)
     return SpectralDecomposition(HermitianMatrix(fa), values, dec.vectors, dec.labels)
-
-
-def herm_exp(a: HermitianMatrix, policy: NumericPolicy = DEFAULT_POLICY) -> HermitianMatrix:
-    """Matrix exponential of a Hermitian matrix; positive definite unless exp underflows to 0."""
-    return apply_to_decomposition(np.exp, decompose(a, policy))
-
-
-def herm_log(a: HermitianMatrix, policy: NumericPolicy = DEFAULT_POLICY) -> HermitianMatrix:
-    """Matrix logarithm of a positive definite Hermitian matrix.
-
-    Positive definiteness is judged on the eigenvalues against the
-    policy's PSD slack; PSD-but-singular input is rejected, since its
-    logarithm would be unbounded.
-    """
-    dec = decompose(a, policy)
-    require_positive_definite(dec, policy, what="logarithm operand")
-    return apply_to_decomposition(np.log, dec)

@@ -33,11 +33,10 @@ from .policy import (
     first_failure,
     frobenius,
 )
-from .spectral import SpectralDecomposition, decompose, eigvals
+from .spectral import SpectralDecomposition, eigvals
 
 __all__ = [
     "PinchOperator",
-    "pinch_operator",
     "pinch",
     "pinch_via_mixture",
     "pinching_checks",
@@ -46,7 +45,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PinchOperator:
-    """The pinching map of a reference matrix, held as its decomposition."""
+    """The pinching map of a reference matrix A, held as its decomposition:
+    ``PinchOperator(decompose(a, policy))``."""
 
     base: SpectralDecomposition
 
@@ -58,11 +58,6 @@ class PinchOperator:
     @property
     def dim(self) -> int:
         return self.base.source_dim
-
-
-def pinch_operator(a: HermitianMatrix, policy: NumericPolicy = DEFAULT_POLICY) -> PinchOperator:
-    """Build the pinching map of `a` from its clustered decomposition."""
-    return PinchOperator(decompose(a, policy))
 
 
 def _require_dim(op: PinchOperator, x: HermitianMatrix):

@@ -138,8 +138,8 @@ class NumericPolicy:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ValueError(f"{f.name} must be strictly positive, got {value!r}")
+            if not (isinstance(value, (int, float)) and 0 < value < float("inf")):
+                raise ValueError(f"{f.name} must be finite and strictly positive, got {value!r}")
 
     def psd_floor(self, lo, hi):
         """Positivity slack of a spectrum spanning [lo, hi]: psd_tol * max(1, |lo|, |hi|).

@@ -4,10 +4,11 @@ Two layers:
 
 * :func:`gt_check` evaluates both sides of tr exp(A+B) <= tr(exp A exp B)
   directly for a Hermitian pair.
-* :func:`chain_trace` verifies, at a finite tensor power m, every step of
-  the pinching argument that proves the inequality: the tensorization
-  identity, the pinched collapse to log tr(AB), and the spectrum-count
-  upper bound whose (1/m) log C(m+n-1, n-1) correction vanishes as m grows.
+* :func:`convergence_study` verifies, at each of a list of finite tensor
+  powers m, every step of the pinching argument that proves the
+  inequality: the tensorization identity, the pinched collapse to
+  log tr(AB), and the spectrum-count upper bound whose
+  (1/m) log C(m+n-1, n-1) correction vanishes as m grows.
 
 Everything relies on trace monotonicity of H -> tr exp(H) under the
 Loewner order (exp itself is not operator monotone), plus operator
@@ -51,7 +52,6 @@ __all__ = [
     "GTReport",
     "ChainTrace",
     "gt_check",
-    "chain_trace",
     "convergence_study",
     "finite_power_certificate",
     "chain_checks",
@@ -170,23 +170,6 @@ class ChainTrace:
     full_matrix_tier: bool
 
 
-def chain_trace(
-    a: HermitianMatrix,
-    b: HermitianMatrix,
-    m: int,
-    policy: NumericPolicy = DEFAULT_POLICY,
-    cap: int = DIM_CAP,
-) -> ChainTrace:
-    """Evaluate every step of the pinching chain at tensor power m.
-
-    `s0` and `target` are always computed. The tensorized and pinched
-    middle terms materialize d^m-dimensional operators and are only
-    evaluated while d^m <= cap. The spectrum-count bound is combinatorial
-    and has no cap.
-    """
-    return convergence_study(a, b, [m], policy, cap)[0]
-
-
 def _full_tier_terms(
     a: HermitianMatrix, b: HermitianMatrix, m: int, policy: NumericPolicy, cap: int
 ) -> tuple[float, float]:
@@ -233,13 +216,15 @@ def convergence_study(
     policy: NumericPolicy = DEFAULT_POLICY,
     cap: int = DIM_CAP,
 ) -> list[ChainTrace]:
-    """One ChainTrace per power, for an ascending list of powers.
+    """One ChainTrace per power, for an ascending list of powers ([m] for one).
 
-    Each row equals ``chain_trace(a, b, m, policy, cap=cap)``. The PD pair
-    A, B is decomposed once and the power-independent s0 and target are
-    computed once. Positivity is gated once, on A and B against psd_floor;
-    the logs of the d^m operators of the full tier take their computed
-    eigenvalues as they are, and one <= 0 there raises DomainError.
+    The PD pair A, B is decomposed once, and the power-independent s0 and
+    target are computed once. The tensorized and pinched middle terms
+    materialize d^m-dimensional operators and are evaluated only while
+    d^m <= cap; the spectrum-count bound is combinatorial and has no cap.
+    Positivity is gated once, on A and B against psd_floor; the logs of
+    the d^m operators of the full tier take their computed eigenvalues as
+    they are, and one <= 0 there raises DomainError.
     """
     ms = [int(m) for m in m_list]
     if not ms:

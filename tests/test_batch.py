@@ -3,7 +3,7 @@
 `random-suite` runs each dimension's trials as stacks ``(k, d, d)`` of
 operands through the same library calls that a single pair uses at batch
 shape ``()``. The per-trial loop below is the route the command took before
-stacking: one single-pair ``gt_check``, ``pinch_operator`` and
+stacking: one single-pair ``gt_check``, ``PinchOperator`` and
 ``pinching_checks`` call per trial. It stays here as the independent oracle.
 """
 
@@ -25,12 +25,12 @@ from pinchgt import (
     NotPSD,
     NotSquare,
     NumericPolicy,
+    PinchOperator,
     apply_to_decomposition,
     decompose,
     eigh,
     gt_check,
     pinch,
-    pinch_operator,
     pinching_checks,
     random_hermitian,
     random_pd,
@@ -55,7 +55,7 @@ def per_trial_suite(dims, trials, seed, policy):
             ok = gt_check(a, b, policy).holds
             base = random_pd(dim, 4 * s + 2)
             x = random_psd(dim, 4 * s + 3)
-            op = pinch_operator(base, policy)
+            op = PinchOperator(decompose(base, policy))
             ok = ok and all(c.passed for c in pinching_checks(op, x, policy))
             if not ok:
                 violations += 1
@@ -140,7 +140,6 @@ def test_hermitian_stack_symmetrizes_each_matrix():
     stack = HermitianMatrix(raw)
     assert stack.dim == 4 and stack.batch_shape == (2, 3)
     npt.assert_array_equal(stack.mat[1, 2], HermitianMatrix(raw[1, 2]).mat)
-    npt.assert_array_equal(stack.trace(), np.trace(stack.mat, axis1=-2, axis2=-1).real)
     with pytest.raises(NotSquare):
         HermitianMatrix(np.zeros((2, 3, 4)))
 
@@ -170,7 +169,7 @@ def test_stacked_decompose_and_pinch_match_per_matrix(policy):
     x = random_psd(5, [s + 1 for s in SEEDS])
     for base in bases:
         dec = decompose(base, policy)
-        px = pinch(pinch_operator(base, policy), x).mat
+        px = pinch(PinchOperator(dec), x).mat
         flat = 0
         for i in range(len(SEEDS)):
             one = decompose(HermitianMatrix(base.mat[i]), policy)
@@ -179,7 +178,7 @@ def test_stacked_decompose_and_pinch_match_per_matrix(policy):
             npt.assert_array_equal(dec.eigenvalues[flat : flat + one.n], one.eigenvalues)
             npt.assert_array_equal(dec.multiplicities[flat : flat + one.n], one.multiplicities)
             flat += one.n
-            single = pinch(pinch_operator(HermitianMatrix(base.mat[i]), policy), HermitianMatrix(x.mat[i]))
+            single = pinch(PinchOperator(one), HermitianMatrix(x.mat[i]))
             npt.assert_allclose(px[i], single.mat, rtol=0, atol=1e-14 * np.linalg.norm(single.mat))
         assert flat == len(dec.eigenvalues)
     # f is one array call on the stack's values, bit for bit the per-matrix calls
@@ -215,9 +214,10 @@ def test_stacked_checks_agree_with_per_matrix_checks(policy, dim):
     assert_checks_agree(report.checks[:1], [s.checks for s in singles])
     npt.assert_allclose(report.gap, [s.gap for s in singles], rtol=1e-14)
     npt.assert_array_equal(report.holds, [s.holds for s in singles])
-    stacked = pinching_checks(pinch_operator(base, policy), x, policy)
+    stacked = pinching_checks(PinchOperator(decompose(base, policy)), x, policy)
     assert_checks_agree(
-        stacked, [pinching_checks(pinch_operator(bi, policy), xi, policy) for _, _, bi, xi in rows]
+        stacked,
+        [pinching_checks(PinchOperator(decompose(bi, policy)), xi, policy) for _, _, bi, xi in rows],
     )
 
 
@@ -260,7 +260,7 @@ def test_one_bad_matrix_fails_the_stack(corrupt_index_2, capsys):
 
 
 def test_non_psd_operand_in_a_stack_raises_not_psd():
-    op = pinch_operator(random_pd(3, SEEDS))
+    op = PinchOperator(decompose(random_pd(3, SEEDS)))
     x = random_psd(3, SEEDS).mat.copy()
     x[3] = -np.eye(3)
     with pytest.raises(NotPSD, match="min eigenvalue -1.000000e\\+00 at stack index 3"):

@@ -8,16 +8,17 @@ from pinchgt import (
     DIM_CAP,
     Check,
     GTReport,
-    chain_trace,
     construct_hermitian,
+    convergence_study,
     decompose,
-    herm_exp,
     load_matrix,
     matrix_digest,
     random_pd,
     write_matrix,
 )
 from pinchgt.cli import main
+
+from dense_routes import herm_exp
 
 
 @pytest.fixture
@@ -95,7 +96,7 @@ def test_chain_csv(pair, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "m,s0,s0_tensorized,t_pinched,target,bound,gap_bound"
     assert len(lines) == 4
-    ct = chain_trace(a, b, 2)
+    ct = convergence_study(a, b, [2])[0]
     cells = lines[2].split(",")
     assert cells[0] == "2"
     assert cells[1] == format(ct.s0, ".12g")
@@ -145,6 +146,20 @@ def test_chain_out_file(pair, tmp_path):
     assert out.read_text().startswith("m,s0,")
 
 
+@pytest.mark.parametrize("command", [["check"], ["chain", "--m", "1"]], ids=["check", "chain"])
+@pytest.mark.parametrize(
+    "target, reason",
+    [(("missing", "x.json"), "No such file or directory"), ((), "Is a directory")],
+    ids=["no_such_directory", "a_directory"],
+)
+def test_unwritable_out_exits_2(pair, tmp_path, capsys, command, target, reason):
+    """An --out that cannot be opened for writing is unusable input: one error line."""
+    pa, pb, _, _ = pair
+    out = tmp_path.joinpath(*target)
+    assert main([command[0], pa, pb, *command[1:], "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
+
+
 def test_chain_violation_exits_1(tmp_path, capsys):
     """A deliberately coarse cluster tolerance merges distinct eigenvalues,
     which breaks the pinched-collapse identity and must be reported."""
@@ -192,6 +207,27 @@ def test_loose_hermiticity_tolerance_admits(tmp_path, pair):
     assert main(
         ["check", str(near), pb, "--tol-herm", "1e-6", "--out", str(tmp_path / "c.json")]
     ) == 0
+
+
+@pytest.mark.parametrize(
+    "flag, field",
+    [
+        ("--tol-herm", "herm_tol"),
+        ("--tol-cluster", "cluster_tol"),
+        ("--tol-psd", "psd_tol"),
+        ("--tol-residual", "residual_tol"),
+    ],
+)
+def test_infinite_tolerance_exits_2(tmp_path, pair, capsys, flag, field):
+    """An infinite tolerance passes every check it bounds (--tol-herm inf would
+    admit this visibly non-Hermitian matrix) and is not a JSON number."""
+    _, pb, _, _ = pair
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 2, "re": [[1, 5], [0, 2]]}))
+    assert main(["check", str(bad), pb, flag, "inf"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {field} must be finite and strictly positive, got inf\n"
+    )
 
 
 def test_not_positive_definite_chain_exits_2(tmp_path, pair, capsys):

@@ -6,19 +6,19 @@ from pinchgt import (
     Check,
     DimensionMismatch,
     DomainError,
+    HermitianMatrix,
     NotPSD,
     PinchOperator,
     construct_hermitian,
+    decompose,
     gt_check,
     pinch,
-    pinch_operator,
     pinch_via_mixture,
     pinching_checks,
     random_hermitian,
     random_pd,
     random_psd,
     random_unitary,
-    scale,
 )
 from pinchgt.policy import COMMUTATION_TOL, MIXTURE_TOL, TRACE_TOL, bilinear_scale
 
@@ -47,7 +47,7 @@ def test_pinch_matches_projector_sum():
         dim = 2 + seed % 7
         base = random_pd(dim, seed)
         x = random_hermitian(dim, seed + 500)
-        op = pinch_operator(base)
+        op = PinchOperator(decompose(base))
         npt.assert_allclose(pinch(op, x).mat, oracle_pinch(base.mat, x.mat), atol=1e-10)
 
 
@@ -55,7 +55,7 @@ def test_pinch_with_degenerate_base():
     u = random_unitary(4, 7)
     base = construct_hermitian(u @ np.diag([1.0, 1.0, 2.0, 5.0]) @ u.conj().T)
     x = random_hermitian(4, 11)
-    op = pinch_operator(base)
+    op = PinchOperator(decompose(base))
     assert op.n == 3
     npt.assert_allclose(pinch(op, x).mat, oracle_pinch(base.mat, x.mat), atol=1e-10)
 
@@ -63,23 +63,23 @@ def test_pinch_with_degenerate_base():
 def test_pinch_of_diagonal_base_zeroes_offdiagonal():
     base = construct_hermitian(np.diag([1.0, 2.0, 3.0]))
     x = random_hermitian(3, 2)
-    px = pinch(pinch_operator(base), x)
+    px = pinch(PinchOperator(decompose(base)), x)
     npt.assert_allclose(px.mat, np.diag(np.diag(x.mat)), atol=1e-12)
 
 
 def test_pinch_is_idempotent():
     for seed in range(6):
-        op = pinch_operator(random_pd(5, seed))
+        op = PinchOperator(decompose(random_pd(5, seed)))
         x = random_hermitian(5, seed + 30)
         once = pinch(op, x)
         npt.assert_allclose(pinch(op, once).mat, once.mat, atol=1e-11)
 
 
 def test_pinch_is_linear():
-    op = pinch_operator(random_pd(4, 1))
+    op = PinchOperator(decompose(random_pd(4, 1)))
     x = random_hermitian(4, 2)
     y = random_hermitian(4, 3)
-    lhs = pinch(op, scale(2.0, x) + scale(-3.0, y))
+    lhs = pinch(op, HermitianMatrix(2.0 * x.mat - 3.0 * y.mat))
     rhs = 2.0 * np.asarray(pinch(op, x).mat) - 3.0 * np.asarray(pinch(op, y).mat)
     npt.assert_allclose(lhs.mat, rhs, atol=1e-11)
 
@@ -87,14 +87,14 @@ def test_pinch_is_linear():
 def test_pinch_fixes_functions_of_base():
     # anything commuting with the base is left alone; base^2 is the easy case
     base = random_pd(4, 5)
-    sq = construct_hermitian(base @ base)
-    op = pinch_operator(base)
+    sq = construct_hermitian(base.mat @ base.mat)
+    op = PinchOperator(decompose(base))
     npt.assert_allclose(pinch(op, sq).mat, sq.mat, atol=1e-10)
 
 
 def test_pinch_preserves_trace():
     for seed in range(6):
-        op = pinch_operator(random_pd(4, seed))
+        op = PinchOperator(decompose(random_pd(4, seed)))
         x = random_hermitian(4, seed + 60)
         assert np.trace(pinch(op, x).mat).real == pytest.approx(
             np.trace(x.mat).real, abs=1e-10
@@ -102,7 +102,7 @@ def test_pinch_preserves_trace():
 
 
 def test_pinch_dimension_mismatch():
-    op = pinch_operator(random_pd(3, 0))
+    op = PinchOperator(decompose(random_pd(3, 0)))
     with pytest.raises(DimensionMismatch):
         pinch(op, random_hermitian(4, 0))
 
@@ -110,7 +110,7 @@ def test_pinch_dimension_mismatch():
 def test_property_commutation():
     for seed in range(10):
         dim = 2 + seed % 6
-        op = pinch_operator(random_pd(dim, seed))
+        op = PinchOperator(decompose(random_pd(dim, seed)))
         x = random_hermitian(dim, seed + 900)
         a = op.base.source.mat
         px = pinch(op, x).mat
@@ -121,7 +121,7 @@ def test_property_commutation():
 def test_property_trace_preservation():
     for seed in range(10):
         dim = 2 + seed % 6
-        op = pinch_operator(random_pd(dim, seed))
+        op = PinchOperator(decompose(random_pd(dim, seed)))
         x = random_hermitian(dim, seed + 900)
         a = op.base.source.mat
         residual = abs(np.trace(pinch(op, x).mat @ a) - np.trace(x.mat @ a))
@@ -131,14 +131,14 @@ def test_property_trace_preservation():
 def test_property_lower_bound():
     for seed in range(10):
         dim = 2 + seed % 6
-        op = pinch_operator(random_pd(dim, seed))
+        op = PinchOperator(decompose(random_pd(dim, seed)))
         lower = pinching_checks(op, random_psd(dim, seed + 900))[2]
         assert lower.name == "pinch_dominates_scaled_operand"
         assert lower.passed
 
 
 def test_lower_bound_rejects_indefinite_operand():
-    op = pinch_operator(random_pd(2, 4))
+    op = PinchOperator(decompose(random_pd(2, 4)))
     with pytest.raises(NotPSD):
         pinching_checks(op, construct_hermitian(np.diag([1.0, -1.0])))
 
@@ -168,7 +168,7 @@ def test_pinching_checks_refuse_overflowing_operands():
 def test_mixture_route_agrees():
     for seed in range(10):
         dim = 2 + seed % 6
-        op = pinch_operator(random_pd(dim, seed))
+        op = PinchOperator(decompose(random_pd(dim, seed)))
         x = random_hermitian(dim, seed + 123)
         npt.assert_allclose(
             pinch_via_mixture(op, x).mat, pinch(op, x).mat, atol=1e-11
@@ -178,7 +178,7 @@ def test_mixture_route_agrees():
 
 
 def test_mixture_route_agrees_at_large_n():
-    op = pinch_operator(random_pd(64, 21))
+    op = PinchOperator(decompose(random_pd(64, 21)))
     assert op.n == 64
     x = random_psd(64, 22)
     residual = np.linalg.norm(pinch(op, x).mat - pinch_via_mixture(op, x).mat)
@@ -188,7 +188,7 @@ def test_mixture_route_agrees_at_large_n():
 def test_mixture_with_degeneracy():
     u = random_unitary(5, 3)
     base = construct_hermitian(u @ np.diag([2.0, 2.0, 2.0, 7.0, 9.0]) @ u.conj().T)
-    op = pinch_operator(base)
+    op = PinchOperator(decompose(base))
     assert op.n == 3
     x = random_hermitian(5, 8)
     npt.assert_allclose(pinch_via_mixture(op, x).mat, pinch(op, x).mat, atol=1e-11)

@@ -10,29 +10,26 @@ from pinchgt import (
     DimensionMismatch,
     HermitianMatrix,
     NotPositiveDefinite,
+    PinchOperator,
     apply_to_decomposition,
     binomial_bound,
     chain_checks,
-    chain_trace,
     construct_hermitian,
     convergence_study,
     count_distinct_spectrum,
     decompose,
     finite_power_certificate,
     gt_check,
-    herm_exp,
-    herm_log,
-    identity,
-    pinch_operator,
     pinching_checks,
     random_hermitian,
     random_pd,
     random_unitary,
-    scale,
     write_matrix,
 )
 from pinchgt.cli import main
 from pinchgt.policy import GT_GAP_TOL
+
+from dense_routes import herm_exp, herm_log
 
 # ---------------------------------------------------------------- oracles --
 # Everything below uses plain numpy on raw arrays, none of the library's
@@ -85,7 +82,7 @@ def o_chain_points(a, b, m):
 
 def test_gt_commuting_pair_is_tight():
     a = construct_hermitian(np.diag([1.0, -1.0]))
-    r = gt_check(a, identity(2))
+    r = gt_check(a, HermitianMatrix(np.eye(2)))
     expect = math.e**2 + 1.0
     assert r.lhs == pytest.approx(expect, rel=1e-12)
     assert r.rhs == pytest.approx(expect, rel=1e-12)
@@ -113,7 +110,7 @@ def test_gt_holds_on_random_pairs():
 
 def test_gt_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        gt_check(identity(2), identity(3))
+        gt_check(HermitianMatrix(np.eye(2)), HermitianMatrix(np.eye(3)))
 
 
 def test_chain_matches_brute_force():
@@ -121,7 +118,7 @@ def test_chain_matches_brute_force():
         a = random_pd(2, seed)
         b = random_pd(2, seed + 11)
         for m in (1, 2, 3):
-            ct = chain_trace(a, b, m)
+            ct = convergence_study(a, b, [m])[0]
             s0, s0_t, t_p, target = o_chain_points(a.mat, b.mat, m)
             assert ct.s0 == pytest.approx(s0, abs=1e-10)
             assert ct.s0_tensorized == pytest.approx(s0_t, abs=1e-10)
@@ -132,7 +129,7 @@ def test_chain_matches_brute_force():
 def test_chain_structure():
     a = construct_hermitian(np.diag([1.0, 2.0]))
     b = construct_hermitian(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    ct = chain_trace(a, b, 3)
+    ct = convergence_study(a, b, [3])[0]
     assert ct.m == 3 and ct.full_matrix_tier
     assert ct.target == pytest.approx(math.log(6.0), rel=1e-12)
     assert ct.t_pinched == pytest.approx(math.log(6.0), rel=1e-9)
@@ -148,16 +145,16 @@ def test_chain_invariants_on_random_pairs():
         a = random_pd(dim, seed + 300)
         b = random_pd(dim, seed + 400)
         for m in (1, 2):
-            for _, c in chain_checks([chain_trace(a, b, m)]):
+            for _, c in chain_checks([convergence_study(a, b, [m])[0]]):
                 assert c.passed, f"{c.name} failed at m={m}: {c.residual} > {c.tolerance}"
 
 
 def test_chain_cap_controls_full_tier():
     a = random_pd(2, 1)
     b = random_pd(2, 2)
-    full = chain_trace(a, b, 2, cap=4)
+    full = convergence_study(a, b, [2], cap=4)[0]
     assert full.full_matrix_tier and full.s0_tensorized is not None
-    skipped = chain_trace(a, b, 3, cap=4)
+    skipped = convergence_study(a, b, [3], cap=4)[0]
     assert not skipped.full_matrix_tier
     assert skipped.s0_tensorized is None and skipped.t_pinched is None
     # combinatorial columns survive the skip
@@ -169,19 +166,19 @@ def test_chain_cap_controls_full_tier():
 def test_chain_rejects_bad_inputs():
     a = random_pd(2, 0)
     with pytest.raises(ValueError):
-        chain_trace(a, a, 0)
+        convergence_study(a, a, [0])
     with pytest.raises(DimensionMismatch):
-        chain_trace(a, random_pd(3, 0), 1)
+        convergence_study(a, random_pd(3, 0), [1])
     with pytest.raises(NotPositiveDefinite):
-        chain_trace(a, construct_hermitian(np.diag([1.0, -1.0])), 1)
+        convergence_study(a, construct_hermitian(np.diag([1.0, -1.0])), [1])
 
 
 def test_chain_at_large_magnitudes():
     # huge but well-conditioned operands; log-domain arithmetic keeps every
     # reported quantity finite and accurate
     a = construct_hermitian(np.diag([math.exp(150.0), math.exp(160.0)]))
-    b = scale(2.0, identity(2))
-    ct = chain_trace(a, b, 1)
+    b = HermitianMatrix(2.0 * np.eye(2))
+    ct = convergence_study(a, b, [1])[0]
     expect = 160.0 + math.log(2.0) + math.log1p(math.exp(-10.0))
     assert ct.s0 == pytest.approx(expect, abs=1e-9)
     assert ct.target == pytest.approx(expect, abs=1e-9)
@@ -193,7 +190,7 @@ def test_chain_rejects_unresolvable_conditioning():
     # certified positive definite in double precision
     a = construct_hermitian(np.diag([math.exp(200.0), math.exp(300.0)]))
     with pytest.raises(NotPositiveDefinite):
-        chain_trace(a, identity(2), 1)
+        convergence_study(a, HermitianMatrix(np.eye(2)), [1])
 
 
 def test_convergence_study():
@@ -206,11 +203,11 @@ def test_convergence_study():
     assert all(ct.s0 == pytest.approx(rows[0].s0) for ct in rows)
 
 
-def test_convergence_study_rows_equal_chain_trace():
+def test_convergence_study_rows_equal_single_power_studies():
     a = random_pd(3, 11)
     b = random_pd(3, 12)
     rows = convergence_study(a, b, [1, 2, 3, 5], cap=27)
-    assert rows == [chain_trace(a, b, m, cap=27) for m in [1, 2, 3, 5]]
+    assert rows == [convergence_study(a, b, [m], cap=27)[0] for m in [1, 2, 3, 5]]
     assert [ct.full_matrix_tier for ct in rows] == [True, True, True, False]
 
 
@@ -292,7 +289,8 @@ def test_certify_arbitrary_hermitian():
 def test_certificate_scale_invariance():
     a = random_pd(3, 21)
     b = random_pd(3, 22)
-    assert finite_power_certificate(pd_report(scale(100.0, a), scale(0.01, b)), 2).passed
+    report = pd_report(HermitianMatrix(100.0 * a.mat), HermitianMatrix(0.01 * b.mat))
+    assert finite_power_certificate(report, 2).passed
 
 
 def test_certificate_reads_the_report():
@@ -361,7 +359,7 @@ def test_exp_decompositions_match_the_dense_route(name, tmp_path, capsys):
         if new.n == old.n:  # where the dense route merges nothing more, it agrees
             npt.assert_allclose(new.eigenvalues, old.eigenvalues, rtol=1e-12, atol=0)
 
-    op = pinch_operator(herm_exp(b))
+    op = PinchOperator(decompose(herm_exp(b)))
     old_checks = [
         *report.checks,
         *pinching_checks(op, herm_exp(a)),
