@@ -81,7 +81,7 @@ def _fmt(x) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if not out:
+    if out is None:
         sys.stdout.write(text)
         return
     try:

@@ -120,8 +120,8 @@ class NumericPolicy:
         Relative tolerance for accepting near-Hermitian input; anything
         worse is rejected rather than symmetrized.
     cluster_tol
-        Relative gap below which adjacent eigenvalues are treated as the
-        same distinct eigenvalue.
+        Relative gap within which adjacent eigenvalues are treated as the
+        same distinct eigenvalue; see :meth:`merge_gap`.
     psd_tol
         Relative slack when accepting a matrix as positive semidefinite,
         measured against the spectral scale of the matrix being judged;
@@ -138,7 +138,8 @@ class NumericPolicy:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (isinstance(value, (int, float)) and 0 < value < float("inf")):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and 0 < value < float("inf")):
                 raise ValueError(f"{f.name} must be finite and strictly positive, got {value!r}")
 
     def psd_floor(self, lo, hi):
@@ -147,6 +148,12 @@ class NumericPolicy:
         Takes per-matrix arrays of ends for a stack and returns one floor each.
         """
         return self.psd_tol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+
+    def merge_gap(self, scale, floor=0.0):
+        """The clustering rule: adjacent sorted values merge while their gap is at most
+        max(cluster_tol * scale, floor). Eigenvalues take scale max(|w_i|, |w_{i+1}|)
+        and floor 2 d eps radius, their rounding; m-fold log sums take scale m."""
+        return np.maximum(self.cluster_tol * scale, floor)
 
     def as_dict(self) -> dict:
         return asdict(self)

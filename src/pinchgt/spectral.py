@@ -2,11 +2,11 @@
 
 The decomposition A = sum_i lambda_i P_i over *distinct* eigenvalues is the
 backbone of the pinching map. Numerically "distinct" is defined by gap-based
-clustering in :func:`decompose` alone: adjacent eigenvalues merge,
-transitively, while their gap stays within ``cluster_tol * max(1, spectral
-radius)``. A cluster only labels eigenbasis columns; each column keeps its
-computed eigenvalue. Tensor powers create many near-coincident products,
-so the clustering rule is load-bearing.
+clustering in :func:`decompose` alone: adjacent eigenvalues w_i <= w_{i+1}
+merge, transitively, within the relative gap cluster_tol * max(|w_i|, |w_{i+1}|)
+or the rounding 2 d eps radius of a d x d spectrum. A cluster only labels
+eigenbasis columns; each column keeps its computed eigenvalue. Tensor powers
+create many near-coincident products, so the clustering rule is load-bearing.
 """
 
 from dataclasses import dataclass
@@ -122,17 +122,18 @@ def decompose(
 ) -> SpectralDecomposition:
     """Cluster the spectrum of `a` into distinct eigenvalues with projectors.
 
-    Adjacent eigenvalues merge transitively while the gap stays within
-    ``cluster_tol * max(1, spectral radius)``. The clusters only label the
-    columns; ``values`` is the ``w`` that :func:`eigh` returned. A stack is
-    clustered per matrix, all matrices at once.
+    Adjacent eigenvalues w_i <= w_{i+1} merge transitively while their gap is
+    within cluster_tol * max(|w_i|, |w_{i+1}|) or the rounding 2 d eps radius
+    (:meth:`NumericPolicy.merge_gap`). The clusters only label the columns;
+    ``values`` is eigh's ``w``. A stack is clustered per matrix, all at once.
     """
     w, v = eigh(a, policy)
-    radius = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
-    gap = policy.cluster_tol * np.maximum(1.0, radius)
-    # a column starts a cluster when it is the first or its gap exceeds `gap`
+    lo, hi = w[..., :-1], w[..., 1:]
+    radius = np.maximum(np.abs(w[..., :1]), np.abs(w[..., -1:]))
+    rounding = 2 * w.shape[-1] * np.finfo(w.dtype).eps * radius
+    # a column starts a cluster when it is the first or its gap is too wide to merge
     starts = np.ones(w.shape, dtype=bool)
-    starts[..., 1:] = w[..., 1:] - w[..., :-1] > gap[..., None]
+    starts[..., 1:] = hi - lo > policy.merge_gap(np.maximum(np.abs(lo), np.abs(hi)), rounding)
     labels = np.cumsum(starts, axis=-1) - 1
     return SpectralDecomposition(source=a, values=w, vectors=v, labels=labels)
 

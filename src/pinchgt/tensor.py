@@ -30,10 +30,9 @@ __all__ = [
 # full-matrix work stays at desk scale; combinatorial counting has no cap
 DIM_CAP = 4096
 
-# hard stops for multiset enumeration: the candidate multisets of one power,
-# which bound its memory, and the log terms summed over them (candidates
-# times m) and over every power of a list, which bound its time
-_ENUMERATION_CAP = 2_000_000
+# hard stop for multiset enumeration: the log terms summed (candidates times m)
+# per power, which keeps the candidate sums to 3e6 at m >= 2, and over every
+# power of a list, which bounds the time
 _TERM_CAP = 6_000_000
 
 
@@ -86,18 +85,14 @@ class SpectrumCount:
 
 def _require_enumerable(n: int, ms) -> None:
     """Refuse the powers `ms` of a base with n distinct eigenvalues before any
-    is counted: each must be positive; per power, the candidate multisets are
-    capped; over all the powers, the log terms summed (candidates times m).
-    The largest power is judged alone first."""
+    is counted: each must be positive, and the log terms summed (candidates
+    times m) are capped per power and over all the powers. The largest power
+    is judged alone first."""
     terms = 0
     for m in sorted(ms, reverse=True):
         if m < 1:
             raise ValueError(f"power must be a positive integer, got {m}")
         exact = math.comb(m + n - 1, n - 1)
-        if exact > _ENUMERATION_CAP:
-            raise SizeOverflow(
-                f"{exact} candidate multisets exceed the enumeration cap {_ENUMERATION_CAP}"
-            )
         if exact * m > _TERM_CAP:
             raise SizeOverflow(
                 f"{exact} candidate multisets of {m} terms each exceed the "
@@ -117,10 +112,10 @@ def count_distinct_spectrum(
     """Count the distinct eigenvalues of the m-fold power of a PD base.
 
     Enumerates the C(m+n-1, n-1) size-m multisets over the n distinct base
-    eigenvalues, sums their logs, and clusters the sums with absolute
-    tolerance ``m * cluster_tol`` (products compound error multiplicatively,
-    so the log-domain tolerance scales with m). The d^m matrix is never
-    formed. The base eigenvalues need only be > 0, where log is defined.
+    eigenvalues, sums their logs, and merges adjacent sorted sums within
+    m * cluster_tol (:meth:`NumericPolicy.merge_gap`): a log gap already is
+    the relative gap of the products, whose error compounds once per factor.
+    The d^m matrix is never formed, and the base eigenvalues need only be > 0.
     The base is one matrix; a stacked decomposition raises ValueError.
     """
     if dec.labels.ndim > 1:
@@ -140,6 +135,5 @@ def count_distinct_spectrum(
         count=exact_bound,
     )
     sums.sort()
-    tol = m * policy.cluster_tol
-    count = 1 + int(np.count_nonzero(np.diff(sums) > tol))
+    count = 1 + int(np.count_nonzero(np.diff(sums) > policy.merge_gap(m)))
     return SpectrumCount(m=m, distinct_count=count, log_bound=log_bound, d_distinct=n)

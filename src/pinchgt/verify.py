@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HermitianMatrix
-from .errors import DimensionMismatch, DomainError, NonRealTrace
+from .core import HermitianMatrix, _require_same_dim
+from .errors import DomainError, NonRealTrace
 from .functions import _map_spectrum, apply_to_decomposition
 from .pinching import PinchOperator, pinch
 from .policy import (
@@ -117,8 +117,7 @@ def gt_check(
     flags pairs whose commutator vanishes to working precision, for which
     the two sides agree exactly. Stacks of A and B are checked pair by pair.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
+    _require_same_dim(a, b)
     ea = _map_spectrum(np.exp, decompose(a, policy))
     eb = _map_spectrum(np.exp, decompose(b, policy))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -231,8 +230,7 @@ def convergence_study(
         raise ValueError("m_list must be non-empty")
     if any(m2 <= m1 for m1, m2 in zip(ms, ms[1:])):
         raise ValueError(f"m_list must be strictly ascending, got {ms}")
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
+    _require_same_dim(a, b)
     dec_a, dec_b = decompose(a, policy), decompose(b, policy)
     require_positive_definite(dec_a, policy, what="first operand")
     require_positive_definite(dec_b, policy, what="second operand")

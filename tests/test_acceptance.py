@@ -12,10 +12,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pinchgt import (
     HermitianMatrix,
     NotHermitian,
+    PinchError,
     PinchOperator,
     binomial_bound,
     chain_checks,
@@ -29,6 +32,7 @@ from pinchgt import (
     random_pd,
     random_psd,
     random_unitary,
+    tensor_power,
     write_matrix,
 )
 from pinchgt.cli import main
@@ -280,14 +284,15 @@ def test_one_clustering_per_operand(tmp_path, d, seeds):
 
 
 def test_pinching_checks_see_a_coarse_clustering(tmp_path):
-    """At --tol-cluster 0.05, B's eigenvalues 0 and 0.03 share a cluster. The
-    pinch by that partition does not commute with exp B itself, and check
-    reports it rather than judging against the clustered matrix."""
+    """At --tol-cluster 0.05, B's eigenvalues 1 and 1.03, a relative gap of
+    0.03, share a cluster. The pinch by that partition does not commute with
+    exp B itself, and check reports it rather than judging against the
+    clustered matrix."""
     import json
 
     pa, pb, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "cert.json"
     write_matrix(pa, _rotated([0.2, 0.5, 1.3], 1))
-    write_matrix(pb, _rotated([0.0, 0.03, 1.0], 2))
+    write_matrix(pb, _rotated([1.0, 1.03, 2.0], 2))
     rc = main(["check", str(pa), str(pb), "--tol-cluster", "0.05", "--out", str(out)])
     failed = [c for c in json.loads(out.read_text())["checks"] if not c["passed"]]
     ok = (
@@ -298,15 +303,11 @@ def test_pinching_checks_see_a_coarse_clustering(tmp_path):
     _verdict("pinching_checks_see_a_coarse_clustering", ok, f"exit {rc}, failed {failed}")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the default clustering merges a true gap below cluster_tol (ROADMAP item 3)",
-)
 def test_default_clustering_keeps_a_small_true_gap(tmp_path):
-    """B = W diag(0, g, 1) W† has the true gap g, below the default merge
-    radius cluster_tol * max(1, radius) = 1e-8. A merge there is no rounding
-    effect, so check must keep the two eigenvalues apart and certify the pair."""
+    """B = W diag(0, g, 1) W† has the true gap g, below cluster_tol = 1e-8 but
+    far above both merge thresholds of 0 and g, the relative cluster_tol * g
+    and the rounding 2 d eps. A merge there is no rounding effect, so check
+    must keep the two eigenvalues apart and certify the pair."""
     import json
 
     pa, pb, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "cert.json"
@@ -328,10 +329,10 @@ def test_default_clustering_keeps_a_small_true_gap(tmp_path):
 
 
 def test_tensorization_ignores_the_clustering():
-    """A^(x)m and B^(x)m of A = U diag(1, 30) U†, B = W diag(30, 0.7) W† have
-    distinct eigenvalues that the clustering merges (30^k and 30^(k+1) for
-    small k, against a gap of 1e-8 * 30^m). Their logs take the computed
-    eigenvalues, so the tensorization identity holds at m = 6, 7, 8."""
+    """A^(x)m and B^(x)m of A = U diag(1, 30) U†, B = W diag(30, 0.7) W† span
+    up to 30^m, 6.6e11 at m = 8. Their logs take the computed eigenvalues,
+    whatever the clustering merged, so the tensorization identity holds at
+    m = 6, 7, 8."""
     rows = convergence_study(_rotated([1.0, 30.0], 2), _rotated([30.0, 0.7], 12), [6, 7, 8])
     tens = [
         (m, c.residual, c.tolerance, c.passed)
@@ -343,4 +344,95 @@ def test_tensorization_ignores_the_clustering():
         "tensorization_ignores_the_clustering",
         ok,
         f"(m, residual, tolerance, passed): {tens}",
+    )
+
+
+def test_tensor_power_clusters_equal_the_count():
+    """A = U diag(1, 1.001, 1000) U†: the m-fold products 1, 1.001, 1.001^2,
+    ... are relatively 1e-3 apart, far above cluster_tol, however large the
+    radius 1000^m. The clusters of A^(x)m number the combinatorial count."""
+    a = _rotated([1.0, 1.001, 1000.0], 1)
+    dec = decompose(a)
+    got = [(decompose(tensor_power(a, m)).n, count_distinct_spectrum(dec, m).distinct_count)
+           for m in (2, 3)]
+    _verdict("tensor_power_clusters_equal_the_count", got == [(6, 6), (10, 10)],
+             f"(clusters of A^(x)m, count) at m = 2, 3: {got}")
+
+
+def _clear_of_both_thresholds(w, m, cluster_tol=1e-8):
+    """Whether every gap between distinct true m-fold products of w clears
+    both merge thresholds by a factor of 10: the count's log gap m *
+    cluster_tol, and decompose's relative gap cluster_tol * max(p_i, p_{i+1})
+    with its rounding floor 2 d^m eps radius. Products that agree to 1e-12
+    are one eigenvalue (1 * 4 = 2 * 2)."""
+    p = np.sort([math.prod(c) for c in itertools.combinations_with_replacement(w, m)])
+    lo, hi = p[:-1], p[1:]
+    distinct = hi - lo > 1e-12 * hi
+    rounding = 2 * len(w) ** m * np.finfo(float).eps * hi[-1]
+    clear = (np.log(hi / lo) > 10 * m * cluster_tol) & (
+        hi - lo > 10 * np.maximum(cluster_tol * hi, rounding)
+    )
+    return bool(np.all(clear | ~distinct))
+
+
+# a PD spectrum scale * (1, 1 + gap, then d - 2 values log-spaced up to cond),
+# whose smallest relative gap is gap
+PD_SPECTRA = dict(
+    d=st.integers(3, 4),
+    log_gap=st.floats(-6.0, -1.0),
+    log_cond=st.floats(0.0, 6.0),
+    log_scale=st.floats(-2.0, 2.0),
+    seed=st.integers(0, 2**32),
+)
+
+
+def _pd_pair(d, log_gap, log_cond, log_scale, seed):
+    gap, cond = 10.0**log_gap, 10.0**log_cond
+    top = max(cond / (1.0 + gap), (1.0 + gap) ** (d - 2))
+    w = 10.0**log_scale * np.append(1.0, (1.0 + gap) * np.geomspace(1.0, top, d - 1))
+    return w, _rotated(w, seed), _rotated(w, seed + 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(1, 4), **PD_SPECTRA)
+def test_clustering_sweep_counts_the_clusters(m, **draw):
+    """Over the smallest relative gap 1e-6 to 1e-1 and cond 1 to 1e6, the
+    positivity gate passes every pair at cond <= 1e4, and A^(x)m has as many
+    clusters as the count wherever the true gaps between its distinct
+    products clear both merge thresholds."""
+    w, a, b = _pd_pair(**draw)
+    if w[-1] / w[0] <= 1e4:
+        convergence_study(a, b, [m], cap=1)  # the gate and the count, no dense tier
+    assume(_clear_of_both_thresholds(w, m))
+    n = decompose(tensor_power(a, m)).n
+    assert n == count_distinct_spectrum(decompose(a), m).distinct_count, (w, m, n)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the dense tier decomposes A^(x)m and B^(x)m, whose spectra span cond^m "
+    "(ROADMAP item 4)",
+)
+def test_chain_at_small_powers_over_conditioning():
+    """On the same spectra (gap 1e-3), the chain refuses no pair at cond <= 1e4
+    and the tensorization identity holds at m = 1..4. At cond 1e3 and up the
+    smallest eigenvalue of a tensor power sits 1e12 and more below its largest,
+    near what eigh resolves in a d^m matrix: its log is inaccurate, or undefined
+    when the computed eigenvalue is <= 0 (DomainError, a refusal)."""
+    results = []
+    for d, log_cond, seed in itertools.product((3, 4), (2.0, 3.0, 3.5, 4.0), range(2)):
+        _, a, b = _pd_pair(d, -3.0, log_cond, 0.0, seed)
+        try:
+            rows = convergence_study(a, b, [1, 2, 3, 4])
+        except PinchError as exc:
+            results.append((d, log_cond, seed, type(exc).__name__))
+            continue
+        tens = [c for _, c in chain_checks(rows) if c.name == "tensorization_identity"]
+        results.append((d, log_cond, seed, max(c.residual / c.tolerance for c in tens)))
+    _verdict(
+        "chain_at_small_powers_over_conditioning",
+        all(isinstance(r, float) and r <= 1.0 for *_, r in results),
+        f"(d, log10 cond, seed, worst tensorization residual / tolerance, or the "
+        f"refusal): {results}",
     )

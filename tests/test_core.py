@@ -115,6 +115,8 @@ def test_policy_validation():
         NumericPolicy(herm_tol=0.0)
     with pytest.raises(ValueError):
         NumericPolicy(psd_tol=-1e-9)
+    with pytest.raises(ValueError):  # a bool is an int, but no tolerance
+        NumericPolicy(herm_tol=True)
     d = NumericPolicy().as_dict()
     assert set(d) == {"herm_tol", "cluster_tol", "psd_tol", "residual_tol"}
 

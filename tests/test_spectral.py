@@ -78,8 +78,9 @@ def test_values_are_eighs_eigenvalues():
 
 
 def test_decompose_merges_near_degenerate():
-    # a split below cluster_tol * radius is one cluster, whose columns keep
-    # their own eigenvalues and whose representative is the smaller one
+    # a split within the relative gap cluster_tol * max(|w_i|, |w_{i+1}|) is one
+    # cluster, whose columns keep their own eigenvalues and whose representative
+    # is the smaller one
     a = construct_hermitian(np.diag([1.0, 1.0 + 1e-12, 5.0]))
     dec = decompose(a)
     assert dec.n == 2
