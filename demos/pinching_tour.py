@@ -25,7 +25,7 @@ op = PinchOperator(decompose(base))
 
 print("reference matrix A (positive definite):")
 print(base.mat.real)
-print(f"\ndistinct eigenvalues of A: {op.n}")
+print(f"\ndistinct eigenvalues of A: {op.base.n}")
 print("clustered spectrum:", np.round(op.base.eigenvalues, 4))
 
 px = pinch(op, x)
@@ -50,12 +50,12 @@ print(f"tr[X A] = {before:.10f}, tr[P[X] A] = {after:.10f}  (preserved)")
 psd = random_pd(4, seed=23)
 checks = {c.name: c for c in pinching_checks(op, psd)}
 dominance = checks["pinch_dominates_scaled_operand"]
-print(f"P[Y] >= Y/{op.n} in the Loewner order: {dominance.passed} "
+print(f"P[Y] >= Y/{op.base.n} in the Loewner order: {dominance.passed} "
       f"(residual {dominance.residual:.3e}, tolerance {dominance.tolerance:.1e})")
 
 # the mixture route: P[X] is the average of the n conjugations by the
 # dephasing unitaries U_y = sum_u exp(2 pi i y u / n) P_u, y = 1..n
 mix = pinch_via_mixture(op, x)
-print(f"\nnumber of dephasing unitaries: {op.n}")
+print(f"\nnumber of dephasing unitaries: {op.base.n}")
 print(f"|| eigenbasis route - mixture route ||_F = "
       f"{np.linalg.norm(px.mat - mix.mat):.3e}")

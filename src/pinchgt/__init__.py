@@ -14,7 +14,6 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     MatrixFileError,
-    NonRealTrace,
     NotFinite,
     NotHermitian,
     NotPSD,
@@ -102,5 +101,4 @@ __all__ = [
     "NotPSD",
     "SizeOverflow",
     "MatrixFileError",
-    "NonRealTrace",
 ]

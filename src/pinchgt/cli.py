@@ -195,7 +195,8 @@ def cmd_random_suite(args: argparse.Namespace) -> int:
     for i, dim in enumerate(dims):
         seeds = range(args.seed + i * args.trials, args.seed + (i + 1) * args.trials)
         # trials per stack, so that one operand stack holds at most
-        # SUITE_STACK_ENTRIES matrix entries whatever --trials is
+        # SUITE_STACK_ENTRIES matrix entries whatever --trials is; above
+        # dim 256 one matrix holds more, and a stack holds one trial
         per_stack = max(1, SUITE_STACK_ENTRIES // (dim * dim))
         dim_violations = sum(
             _suite_violations(dim, seeds[lo : lo + per_stack], policy)

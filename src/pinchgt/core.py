@@ -1,6 +1,6 @@
 """Dense complex Hermitian matrices, single or stacked.
 
-Construction gate, addition, and seeded random test instances.
+Construction gate and seeded random test instances.
 Everything here is immutable after construction, so any operation may run
 concurrently on shared inputs. A ``HermitianMatrix`` holds one ``d x d``
 matrix or a stack ``(..., d, d)`` of them (see ``policy.py`` for the
@@ -80,17 +80,6 @@ class HermitianMatrix:
     def batch_shape(self) -> tuple[int, ...]:
         """Leading stack axes; () for a single matrix."""
         return self._mat.shape[:-2]
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return np.array(self._mat, copy=True)
-        return self._mat.astype(dtype)
-
-    def __add__(self, other):
-        if not isinstance(other, HermitianMatrix):
-            return NotImplemented
-        _require_same_dim(self, other)
-        return HermitianMatrix(self._mat + other._mat)
 
     def __repr__(self):
         batch = f", batch_shape={self.batch_shape}" if self.batch_shape else ""

@@ -38,12 +38,8 @@ class NotPSD(PinchError):
 
 
 class SizeOverflow(PinchError):
-    """Requested object exceeds the configured dimension cap."""
+    """Requested object exceeds a size cap: a tensor-power dimension or the enumeration's terms."""
 
 
 class MatrixFileError(PinchError):
     """A matrix document is unreadable or ill-formed; the message names the field."""
-
-
-class NonRealTrace(PinchError):
-    """A trace that must be real came out with an imaginary part beyond rounding."""

@@ -65,7 +65,8 @@ def load_matrix(path, policy: NumericPolicy = DEFAULT_POLICY) -> HermitianMatrix
             doc = json.load(fh)
     except OSError as exc:
         raise MatrixFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's recursion limit
         raise MatrixFileError(f"{path} is not valid JSON: {exc}") from exc
     return construct_hermitian(parse_matrix(doc), policy)
 

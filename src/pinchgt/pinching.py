@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HermitianMatrix
-from .errors import DimensionMismatch, NotPSD
+from .core import HermitianMatrix, _require_same_dim
+from .errors import NotPSD
 from .policy import (
     COMMUTATION_TOL,
     DEFAULT_POLICY,
@@ -51,18 +51,8 @@ class PinchOperator:
     base: SpectralDecomposition
 
     @property
-    def n(self):
-        """Number of distinct eigenvalues of the reference matrix (per matrix, for a stack)."""
-        return self.base.n
-
-    @property
     def dim(self) -> int:
         return self.base.source_dim
-
-
-def _require_dim(op: PinchOperator, x: HermitianMatrix):
-    if x.dim != op.dim:
-        raise DimensionMismatch(f"operand dim {x.dim} != operator dim {op.dim}")
 
 
 def _per_matrix(values) -> np.ndarray:
@@ -78,7 +68,7 @@ def pinch(op: PinchOperator, x: HermitianMatrix) -> HermitianMatrix:
     same map as the projector sum but costs a single basis change. The
     blocks are the entries whose row and column share a cluster label.
     """
-    _require_dim(op, x)
+    _require_same_dim(op.base.source, x)
     v = op.base.vectors
     vh = v.conj().swapaxes(-1, -2)
     in_basis = vh @ x.mat @ v
@@ -101,8 +91,8 @@ def pinch_via_mixture(op: PinchOperator, x: HermitianMatrix) -> HermitianMatrix:
     share a count n share one stacked product, so each matrix gets exactly
     its own n-term sum.
     """
-    _require_dim(op, x)
-    n = np.asarray(op.n)
+    _require_same_dim(op.base.source, x)
+    n = np.asarray(op.base.n)
     v = op.base.vectors
     vh = v.conj().swapaxes(-1, -2)
     in_basis = vh @ x.mat @ v
@@ -127,7 +117,7 @@ def pinching_checks(
     forced for PSD operands, so non-PSD X raises NotPSD before any check;
     in a stack, one non-PSD operand raises for the whole stack.
     """
-    _require_dim(op, x)
+    _require_same_dim(op.base.source, x)
     w = eigvals(x)
     bad = first_failure(w[..., 0] < -policy.psd_floor(w[..., 0], w[..., -1]))
     if bad is not None:
@@ -143,7 +133,7 @@ def pinching_checks(
     # |shift| as libm's hypot, which is how abs() rounds a complex scalar;
     # np.abs on a complex array may round the last bit differently
     trace = np.hypot(shift.real, shift.imag)
-    dw = eigvals(px - (1.0 / _per_matrix(op.n)) * x.mat)
+    dw = eigvals(px - (1.0 / _per_matrix(op.base.n)) * x.mat)
     mixture = frobenius(px - pinch_via_mixture(op, x).mat)
     return (
         Check("pinch_commutes_with_base", commutation, COMMUTATION_TOL * bilinear),
@@ -156,6 +146,6 @@ def pinching_checks(
         Check(
             "pinch_equals_dephasing_mixture",
             mixture,
-            MIXTURE_TOL * op.n * (1.0 + frobenius(x.mat)),
+            MIXTURE_TOL * op.base.n * (1.0 + frobenius(x.mat)),
         ),
     )

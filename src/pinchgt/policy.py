@@ -35,8 +35,6 @@ TENSORIZATION_TOL = 1e-8  # |s0_tensorized - s0|
 COLLAPSE_TOL = 1e-7  # |t_pinched - target|
 CHAIN_BOUND_TOL = 1e-8  # s0 <= bound
 BOUND_MONOTONE_TOL = 1e-12  # bound non-increasing in m
-# imaginary residue allowed in tr(AB) of PD operands, times bilinear_scale
-TRACE_IMAG_TOL = 1e-12
 
 
 def batch_result(x):

@@ -187,7 +187,7 @@ def test_chain_collapse_and_tensorization():
     for a, b in pairs:
         for m in (1, 2, 3):
             ct = convergence_study(a, b, [m])[0]
-            assert ct.full_matrix_tier
+            assert ct.s0_tensorized is not None
             collapse = abs(ct.t_pinched - ct.target) / (1.0 + abs(ct.target))
             tensor = abs(ct.s0_tensorized - ct.s0) / (1.0 + abs(ct.s0))
             worst_collapse = max(worst_collapse, collapse)

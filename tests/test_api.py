@@ -20,7 +20,7 @@ TRACED_MODULES = ("cli", "matrixio", "verify", "pinching", "tensor", "functions"
 PUBLIC_NAMES = [
     "ChainTrace", "Check", "ConvergenceFailure", "DEFAULT_POLICY", "DIM_CAP",
     "DimensionMismatch", "DomainError", "GTReport", "HermitianMatrix",
-    "MatrixFileError", "NonRealTrace", "NotFinite", "NotHermitian", "NotPSD",
+    "MatrixFileError", "NotFinite", "NotHermitian", "NotPSD",
     "NotPositiveDefinite", "NotSquare", "NumericPolicy", "PinchError",
     "PinchOperator", "SizeOverflow", "SpectralDecomposition", "SpectrumCount",
     "apply_to_decomposition", "binomial_bound", "chain_checks",
@@ -86,11 +86,52 @@ def test_no_dead_imports(name):
     assert {f"{name}.{n}" for n in unused} <= UNUSED_IMPORTS_KEPT
 
 
-def test_traced_attributes_are_kept():
+def _module_trees():
+    for info in pkgutil.iter_modules(pinchgt.__path__):
+        module = importlib.import_module(f"pinchgt.{info.name}")
+        yield module, ast.parse(inspect.getsource(module))
+    yield pinchgt, ast.parse(inspect.getsource(pinchgt))
+
+
+def test_no_dead_definitions():
+    """Every module-level name outside its module's __all__ is read somewhere in
+    the package: loaded by name, or imported by another module."""
+    read = set()
+    for _, tree in _module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = []
+    for module, tree in _module_trees():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [
+                f"{module.__name__}.{name}"
+                for name in names
+                if not (name.startswith("__") or name in getattr(module, "__all__", ()))
+                and name not in read
+            ]
+    assert unread == []
+
+
+def test_traced_attributes_are_kept(monkeypatch):
     """The attributes the traced benchmark's hooks read from call arguments
     and results, with the types the hooks compute with: the pinch operator's
     ``base`` and ``dim``; the decomposition's ``vectors``, ``multiplicities``,
-    ``source_dim`` and ``n``; the spectrum count's ``distinct_count``."""
+    ``source_dim`` and ``n``; the spectrum count's ``distinct_count``.
+
+    The benchmark's tests also build a ``SpectrumCount`` positionally as
+    ``(m, distinct_count, log_bound, d_distinct)``, and substitute
+    ``verify.count_distinct_spectrum``, so verify must look that name up
+    when it is called."""
     op = pinchgt.PinchOperator(pinchgt.decompose(pinchgt.random_pd(3, 0)))
     assert isinstance(op.base, pinchgt.SpectralDecomposition)
     assert op.dim == 3
@@ -101,3 +142,18 @@ def test_traced_attributes_are_kept():
     assert dec.n == 3 and isinstance(dec.n, int)
     count = pinchgt.count_distinct_spectrum(dec, 2)
     assert count.distinct_count == 6 and isinstance(count.distinct_count, int)
+    assert pinchgt.SpectrumCount(2, 6, count.log_bound, 3) == count
+
+    def one_more(dec, m, policy):
+        exact = pinchgt.count_distinct_spectrum(dec, m, policy)
+        return pinchgt.SpectrumCount(m, exact.distinct_count + 1, exact.log_bound, dec.n)
+
+    a, b = pinchgt.random_pd(3, 1), pinchgt.random_pd(3, 2)
+    report = pinchgt.gt_check(a, b)
+    exact_a = pinchgt.count_distinct_spectrum(pinchgt.decompose(a), 2).distinct_count
+    exact_exp_a = pinchgt.count_distinct_spectrum(report.exp_a, 2).distinct_count
+    monkeypatch.setattr(pinchgt.verify, "count_distinct_spectrum", one_more)
+    (row,) = pinchgt.convergence_study(a, b, [2])
+    assert row.spectrum_count == exact_a + 1
+    check = pinchgt.finite_power_certificate(report, 2)
+    assert check.residual == report.lhs - (exact_exp_a + 1) ** (1.0 / 2) * report.rhs

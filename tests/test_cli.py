@@ -247,7 +247,17 @@ def test_bad_inputs_exit_2(tmp_path, pair, capsys):
     assert main(["check", str(tmp_path / "missing.json"), pb]) == 2
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
-    assert main(["check", str(garbled), pb]) == 2
+    # nesting deeper than the decoder's recursion limit, and bytes that are not UTF-8
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    for path in (garbled, deep, binary):
+        capsys.readouterr()
+        assert main(["check", str(path), pb]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path} is not valid JSON: ")
     noim = tmp_path / "shape.json"
     noim.write_text(json.dumps({"dim": 2, "re": [[1.0, 0.0]]}))
     assert main(["check", str(noim), pb]) == 2
@@ -467,20 +477,6 @@ def test_one_decomposition_per_chain_study(pair, capsys, calls):
     assert main(["chain", pa, pb, "--m", "1,2,3,4,5,6"]) == 0
     assert calls["eigh"] == 2 + 3 * 6
     capsys.readouterr()
-
-
-def test_non_real_trace_exits_2(pair, capsys, monkeypatch):
-    """The guard on tr(AB) is an input error (exit 2), not a violation; it
-    covers tr(exp A exp B) in check and tr(AB) in chain."""
-    real_trace = np.trace
-    monkeypatch.setattr(np, "trace", lambda m, *args, **kwargs: real_trace(m, *args, **kwargs) + 1j)
-    pa, pb, _, _ = pair
-    assert main(["chain", pa, pb, "--m", "1"]) == 2
-    assert capsys.readouterr().err.startswith("error: tr(AB) has imaginary residue")
-    assert main(["check", pa, pb]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: tr(AB) has imaginary residue")
 
 
 def test_chain_cap_above_dim_cap_exits_2(pair, capsys):

@@ -56,7 +56,7 @@ def test_pinch_with_degenerate_base():
     base = construct_hermitian(u @ np.diag([1.0, 1.0, 2.0, 5.0]) @ u.conj().T)
     x = random_hermitian(4, 11)
     op = PinchOperator(decompose(base))
-    assert op.n == 3
+    assert op.base.n == 3
     npt.assert_allclose(pinch(op, x).mat, oracle_pinch(base.mat, x.mat), atol=1e-10)
 
 
@@ -103,8 +103,9 @@ def test_pinch_preserves_trace():
 
 def test_pinch_dimension_mismatch():
     op = PinchOperator(decompose(random_pd(3, 0)))
-    with pytest.raises(DimensionMismatch):
-        pinch(op, random_hermitian(4, 0))
+    for route in (pinch, pinch_via_mixture, pinching_checks):
+        with pytest.raises(DimensionMismatch, match="dimensions differ: 3 vs 4"):
+            route(op, random_pd(4, 0))
 
 
 def test_property_commutation():
@@ -174,21 +175,21 @@ def test_mixture_route_agrees():
             pinch_via_mixture(op, x).mat, pinch(op, x).mat, atol=1e-11
         )
         residual = np.linalg.norm(pinch(op, x).mat - pinch_via_mixture(op, x).mat)
-        assert residual <= MIXTURE_TOL * op.n * (1.0 + np.linalg.norm(x.mat))
+        assert residual <= MIXTURE_TOL * op.base.n * (1.0 + np.linalg.norm(x.mat))
 
 
 def test_mixture_route_agrees_at_large_n():
     op = PinchOperator(decompose(random_pd(64, 21)))
-    assert op.n == 64
+    assert op.base.n == 64
     x = random_psd(64, 22)
     residual = np.linalg.norm(pinch(op, x).mat - pinch_via_mixture(op, x).mat)
-    assert residual <= MIXTURE_TOL * op.n * (1.0 + np.linalg.norm(x.mat))
+    assert residual <= MIXTURE_TOL * op.base.n * (1.0 + np.linalg.norm(x.mat))
 
 
 def test_mixture_with_degeneracy():
     u = random_unitary(5, 3)
     base = construct_hermitian(u @ np.diag([2.0, 2.0, 2.0, 7.0, 9.0]) @ u.conj().T)
     op = PinchOperator(decompose(base))
-    assert op.n == 3
+    assert op.base.n == 3
     x = random_hermitian(5, 8)
     npt.assert_allclose(pinch_via_mixture(op, x).mat, pinch(op, x).mat, atol=1e-11)

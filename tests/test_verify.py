@@ -130,7 +130,7 @@ def test_chain_structure():
     a = construct_hermitian(np.diag([1.0, 2.0]))
     b = construct_hermitian(np.array([[2.0, 1.0], [1.0, 2.0]]))
     ct = convergence_study(a, b, [3])[0]
-    assert ct.m == 3 and ct.full_matrix_tier
+    assert ct.m == 3 and ct.s0_tensorized is not None
     assert ct.target == pytest.approx(math.log(6.0), rel=1e-12)
     assert ct.t_pinched == pytest.approx(math.log(6.0), rel=1e-9)
     assert ct.spectrum_count == 4
@@ -153,9 +153,8 @@ def test_chain_cap_controls_full_tier():
     a = random_pd(2, 1)
     b = random_pd(2, 2)
     full = convergence_study(a, b, [2], cap=4)[0]
-    assert full.full_matrix_tier and full.s0_tensorized is not None
+    assert full.s0_tensorized is not None and full.t_pinched is not None
     skipped = convergence_study(a, b, [3], cap=4)[0]
-    assert not skipped.full_matrix_tier
     assert skipped.s0_tensorized is None and skipped.t_pinched is None
     # combinatorial columns survive the skip
     assert skipped.bound == pytest.approx(
@@ -208,7 +207,7 @@ def test_convergence_study_rows_equal_single_power_studies():
     b = random_pd(3, 12)
     rows = convergence_study(a, b, [1, 2, 3, 5], cap=27)
     assert rows == [convergence_study(a, b, [m], cap=27)[0] for m in [1, 2, 3, 5]]
-    assert [ct.full_matrix_tier for ct in rows] == [True, True, True, False]
+    assert [ct.s0_tensorized is not None for ct in rows] == [True, True, True, False]
 
 
 def test_convergence_study_validation():
@@ -239,8 +238,8 @@ def o_dense_certificate(dec_a, dec_b, m):
     """The certificate by its own dense route, from the decompositions of a PD pair:
     tr exp(log A + log B) from the logs of both decompositions and eigvalsh,
     against N_m(A)^(1/m) tr(AB)."""
-    log_sum = apply_to_decomposition(np.log, dec_a) + apply_to_decomposition(np.log, dec_b)
-    lhs = float(np.sum(np.exp(np.linalg.eigvalsh(log_sum.mat))))
+    log_sum = apply_to_decomposition(np.log, dec_a).mat + apply_to_decomposition(np.log, dec_b).mat
+    lhs = float(np.sum(np.exp(np.linalg.eigvalsh(log_sum))))
     n_m = count_distinct_spectrum(dec_a, m).distinct_count
     rhs = n_m ** (1.0 / m) * np.trace(dec_a.source.mat @ dec_b.source.mat).real
     return Check("finite_power_certificate", lhs - rhs, GT_GAP_TOL * (abs(lhs) + abs(rhs)))
