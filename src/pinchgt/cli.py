@@ -16,6 +16,7 @@ matrix, bad flag values).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -209,6 +210,8 @@ def cmd_random_suite(args: argparse.Namespace) -> int:
     return 1 if total else 0
 
 
+# built once per process: parse_args reads the parser and never changes it
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pinchgt",

@@ -8,12 +8,13 @@ convention); the seeded generators return a stack when given a sequence of
 seeds, one matrix per seed, each bit-identical to its single-seed draw.
 
 The seeded generators draw from one Philox generator per thread, held in a
-``threading.local`` and re-keyed on every call: counter 0, key ``seed``
-(split into two 64-bit words), empty output buffer. That is exactly the
-state of a fresh ``Generator(Philox(key=seed))``, so each draw is a pure
-function of its seed, as before, without building a generator and an
-unused entropy ``SeedSequence`` per call. Threads never share the
-generator, so concurrent draws do not interleave.
+``threading.local`` and re-keyed in place for every seed: counter 0, key
+``seed`` (split into two 64-bit words), empty output buffer. That is exactly
+the state of a fresh ``Generator(Philox(key=seed))``, so each draw is a pure
+function of its seed, without building a generator and an unused entropy
+``SeedSequence`` per seed. A seed must be an ``int`` in ``[0, 2**128)``; a
+``bool`` is refused, not read as 0 or 1. Threads never share the generator,
+so concurrent draws do not interleave.
 """
 
 import operator
@@ -125,45 +126,58 @@ _WORD = (1 << 64) - 1
 _thread_state = threading.local()
 
 
-def _generator(seed: int) -> np.random.Generator:
-    """This thread's generator, in the state of ``Generator(Philox(key=seed))``."""
-    # counter-based generator: trials seeded independently stay reproducible
-    # regardless of execution order
-    seed = operator.index(seed)
-    if not 0 <= seed < _KEY_LIMIT:
-        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+def _generator() -> np.random.Generator:
+    """This thread's Philox generator, created on its first use."""
     rng = getattr(_thread_state, "rng", None)
     if rng is None:
         rng = _thread_state.rng = np.random.Generator(np.random.Philox(key=0))
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([seed & _WORD, seed >> 64], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
     return rng
+
+
+def _key(seed) -> int:
+    """`seed` as a Philox key; a bool or a seed outside [0, 2**128) is refused."""
+    if isinstance(seed, (bool, np.bool_)):
+        raise TypeError(f"seed must be an int, not a bool: {seed!r}")
+    seed = operator.index(seed)
+    if not 0 <= seed < _KEY_LIMIT:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    return seed
 
 
 def _complex_normal(dim: int, seed) -> np.ndarray:
     """G + iH with independent standard normal G, H: one dim x dim draw per seed.
 
     An int seed gives one matrix; a sequence of seeds gives the stack of
-    their draws, each bit-identical to the draw of that seed alone. Each
-    seed's generator fills G, then H.
+    their draws, each bit-identical to the draw of that seed alone. Every
+    seed is checked before the first draw. For each seed the thread's
+    generator is re-keyed to the state of ``Generator(Philox(key=seed))``
+    and fills G, then H.
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     single = np.ndim(seed) == 0
-    seeds = [seed] if single else seed
-    draws = np.empty((len(seeds), 2, dim, dim))
-    for out, s in zip(draws, seeds):
-        _generator(s).standard_normal(out=out)
-    g = draws[:, 0] + 1j * draws[:, 1]
+    keys = [_key(s) for s in ([seed] if single else seed)]
+    rng = _generator()
+    bits = rng.bit_generator
+    # the state setter copies the words out, so one record serves every
+    # seed; plain ints convert faster there than numpy scalars
+    key = [0, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    draws = np.empty((len(keys), 2, dim, dim))
+    for out, k in zip(draws, keys):
+        key[0], key[1] = k & _WORD, k >> 64
+        bits.state = state
+        rng.standard_normal(out=out)
+    g = np.empty((len(keys), dim, dim), dtype=np.complex128)
+    g.real = draws[:, 0]
+    g.imag = draws[:, 1]
     return g[0] if single else g
 
 

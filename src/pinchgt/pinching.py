@@ -128,8 +128,9 @@ def pinching_checks(
     a = op.base.source.mat
     px = pinch(op, x).mat
     bilinear = bilinear_scale(a, x.mat)
-    commutation = frobenius(px @ a - a @ px)
-    shift = np.trace(px @ a, axis1=-2, axis2=-1) - np.trace(x.mat @ a, axis1=-2, axis2=-1)
+    pa = px @ a
+    commutation = frobenius(pa - a @ px)
+    shift = np.trace(pa, axis1=-2, axis2=-1) - np.trace(x.mat @ a, axis1=-2, axis2=-1)
     # |shift| as libm's hypot, which is how abs() rounds a complex scalar;
     # np.abs on a complex array may round the last bit differently
     trace = np.hypot(shift.real, shift.imag)

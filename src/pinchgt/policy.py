@@ -47,11 +47,12 @@ def frobenius(x: np.ndarray):
     """Frobenius norm of a matrix, or one norm per matrix of a stack.
 
     A single matrix keeps ``np.linalg.norm(x)``, so its rounding is the
-    same as before stacks existed; only a stack takes the axis form.
+    same as before stacks existed. A stack takes the formula that
+    ``np.linalg.norm(x, axis=(-2, -1))`` evaluates, without its dispatch.
     """
     if x.ndim == 2:
         return float(np.linalg.norm(x))
-    return np.linalg.norm(x, axis=(-2, -1))
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(-2, -1)))
 
 
 def first_failure(bad) -> tuple[int, ...] | None:

@@ -47,10 +47,7 @@ def eigh(a, policy: NumericPolicy = DEFAULT_POLICY):
             f"eigendecomposition residual {np.asarray(residual)[bad]:.3e} exceeds "
             f"{policy.residual_tol:.1e} * (1 + ||A||_F){at_index(bad)}"
         )
-    gram = v.conj().swapaxes(-1, -2) @ v
-    diag = np.arange(w.shape[-1])
-    gram[..., diag, diag] -= 1.0
-    ortho = frobenius(gram)
+    ortho = frobenius(v.conj().swapaxes(-1, -2) @ v - np.eye(w.shape[-1]))
     bad = first_failure(ortho > policy.residual_tol)
     if bad is not None:
         raise ConvergenceFailure(

@@ -642,3 +642,33 @@ def test_frozen_outputs(pair, capsys):
         out,
     )
     assert out == FROZEN_CERTIFICATE
+
+
+def test_parser_is_built_once_and_keeps_no_state(pair, tmp_path, capsys, monkeypatch):
+    """main reuses one parser; the flags of a call never reach the next."""
+    import argparse
+
+    pa, pb, _, _ = pair
+    suite = ["random-suite", "--dims", "2..4", "--trials", "4"]
+    assert main([*suite, "--tol-cluster", "0.5"]) == 1
+    assert capsys.readouterr().out.endswith("total: 12 trials, 6 violations\n")
+    assert main(suite) == 0
+    assert capsys.readouterr().out == FROZEN_SUITE
+
+    out = tmp_path / "cert.json"
+    assert main(["check", pa, pb, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["check", pa, pb]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(suite) == 0
+    assert capsys.readouterr().out == FROZEN_SUITE
+    assert built == []

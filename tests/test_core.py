@@ -19,6 +19,7 @@ from pinchgt import (
     random_unitary,
 )
 from pinchgt.core import _require_same_dim
+from pinchgt.policy import frobenius
 
 
 def test_construct_accepts_exact_hermitian():
@@ -176,8 +177,19 @@ def test_random_seed_out_of_key_range_raises_value_error():
             random_hermitian(2, seed)
 
 
+def test_bool_seeds_are_refused():
+    """A bool is an int, but no seed: True would silently draw seed 1."""
+    for seed in (True, False, np.bool_(True)):
+        with pytest.raises(TypeError, match="seed must be an int, not a bool"):
+            random_pd(3, seed)
+    for seeds in ([False, True], [0, True], np.array([True, False])):
+        with pytest.raises(TypeError, match="seed must be an int, not a bool"):
+            random_hermitian(2, seeds)
+
+
 def test_threads_draw_independently():
-    """Threads drawing interleaved each get a fresh generator's matrices."""
+    """Threads drawing interleaved each get a fresh generator's matrices,
+    one seed at a time and as stacks of five seeds."""
     seeds = list(range(40))
     expected = {s: (_fresh_draw(4, s, 1.0).mat, _fresh_draw(4, s, 0.0).mat) for s in seeds}
     mismatches = []
@@ -190,6 +202,10 @@ def test_threads_draw_independently():
                     and np.array_equal(random_psd(4, s).mat, expected[s][1])
                 ):
                     mismatches.append(s)
+            stacked = seeds[s : s + 5]  # seeds[s] == s
+            for t, drawn in zip(stacked, random_pd(4, stacked).mat):
+                if not np.array_equal(drawn, expected[t][0]):
+                    mismatches.append(t)
 
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -210,3 +226,14 @@ def test_threads_draw_independently():
 def test_generators_refuse_dimensions_below_one(gen, dim):
     with pytest.raises(ValueError, match="dimension must be at least 1"):
         gen(dim, 3)
+
+
+@pytest.mark.parametrize("shape", [(5, 1, 1), (5, 2, 2), (5, 7, 7), (2, 3, 4, 4), (2, 3, 1, 1)])
+def test_stacked_frobenius_is_numpys_norm_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for stack in (x, 1e-3 * x, np.zeros(shape, dtype=complex), x.real):
+        npt.assert_array_equal(frobenius(stack), np.linalg.norm(stack, axis=(-2, -1)))
+    single = x.reshape(-1, shape[-2], shape[-1])[0]
+    assert type(frobenius(single)) is float
+    assert frobenius(single) == float(np.linalg.norm(single))
